@@ -12,8 +12,8 @@ from .words import (left_normed, evaluate, normalize_trace, multilinear_sign,
 from .group import (GroupElement, from_sl3, delta1, delta2, hbar, theta,
                     compose, apply_tuple, is_automorphism, enumerate_group,
                     group_order_formula)
-from .invariants import (Descriptor, enumerate_set, eval_descriptor, q_prime,
-                         psi, psi_hat, embed_matrix, matrix_invariants,
+from .invariants import (Descriptor, enumerate_set, evaluate_family,
+                         eval_descriptor, q_prime, psi, psi_hat, embed_matrix, matrix_invariants,
                          generic_octonion, generic_traceless_octonion)
 from .symbolic import (verify_identity, verify_all_identities,
                        verify_skew_symmetrization, decomposability_check,

@@ -16,7 +16,7 @@ from . import octonion as oc
 from . import orbits as ob
 from . import suite
 from . import symbolic as sy
-from .invariants import enumerate_set, eval_descriptor
+from .invariants import evaluate_family
 from .scalars import GF, QQ
 
 __all__ = ["main", "parse_tuple_file", "ParseError"]
@@ -57,9 +57,12 @@ def parse_tuple_file(text):
             elif spec.startswith("p="):
                 try:
                     p = int(spec[2:])
-                    ring = GF(p)
                 except ValueError:
                     raise ParseError("line %d: bad field spec %r" % (lineno, spec))
+                try:
+                    ring = GF(p)
+                except ValueError as exc:
+                    raise ParseError("line %d: %s" % (lineno, exc))
             else:
                 raise ParseError("line %d: bad field spec %r" % (lineno, spec))
             continue
@@ -96,12 +99,8 @@ def _render_octonion(ring, a):
 
 def cmd_eval(args, out):
     ring, tup = _load(args.file)
-    rows = []
-    for desc in enumerate_set(args.family, len(tup), args.degree):
-        rows.append("%s = %s" % (desc.name(),
-                                 _render(ring, eval_descriptor(desc, tup))))
-    for row in rows:
-        print(row, file=out)
+    for desc, value in evaluate_family(args.family, tup, args.degree):
+        print("%s = %s" % (desc.name(), _render(ring, value)), file=out)
     return 0
 
 

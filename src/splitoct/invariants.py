@@ -9,13 +9,15 @@ of generic 2x2 matrices.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from . import octonion as oc
 from . import words as wd
 from .scalars import Polynomial
 
 __all__ = [
-    "Descriptor", "enumerate_set", "eval_descriptor", "descriptor_polynomial",
+    "Descriptor", "enumerate_set", "evaluate_family", "eval_descriptor",
+    "descriptor_polynomial", "MAX_FAMILY_SIZE",
     "q_prime", "q_prime_combination", "psi", "psi_hat", "embed_matrix",
     "MatrixDescriptor", "matrix_invariants", "eval_matrix_descriptor",
     "generic_matrix", "mat2_mul", "mat2_trace", "mat2_det",
@@ -58,20 +60,34 @@ class Descriptor:
         return self.name()
 
 
+# largest family enumerate_set builds; n <= 17 fits at d = 8
+MAX_FAMILY_SIZE = 100_000
+
+
 def enumerate_set(family, n, d):
     """The degree filtration of the invariant family, in a fixed order.
 
     family "S": norms n(i) plus traces of strictly increasing sequences
     of length 1..d; family "S0": the same with sequences of length >= 2
     (the single traces vanish identically on traceless tuples).
-    Ordered by (degree, norms first, indices).
+    Ordered by (degree, norms first, indices).  Raises ValueError for a
+    family of more than MAX_FAMILY_SIZE descriptors, before building it.
     """
     if family not in ("S", "S0"):
         raise ValueError("family must be 'S' or 'S0'")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    out = []
     min_len = 1 if family == "S" else 2
+    # counted level by level and only up to the first level past the
+    # limit, so a huge n and d cost no more than a small one
+    size = n if d >= 2 else 0
+    for k in range(min_len, min(d, n) + 1):
+        size += comb(n, k)
+        if size > MAX_FAMILY_SIZE:
+            raise ValueError(
+                "family %s with n=%d, d=%d has at least %d descriptors, more "
+                "than the limit of %d" % (family, n, d, size, MAX_FAMILY_SIZE))
+    out = []
     for deg in range(1, d + 1):
         if deg == 2:
             for i in range(1, n + 1):
@@ -80,6 +96,33 @@ def enumerate_set(family, n, d):
             for seq in combinations(range(1, n + 1), deg):
                 out.append(Descriptor("tr", seq))
     return out
+
+
+def evaluate_family(family, tup, d):
+    """Yield (descriptor, value) for the family on the tuple, lazily and
+    in the order of enumerate_set.
+
+    The left-normed product of tr(i1,...,ik) is the stored product of
+    (i1,...,i(k-1)) times one more member, so each trace costs one
+    octonion product.  Only the products of the previous length are kept
+    while those of the next length are built.  eval_descriptor is the
+    reference this is checked against.
+    """
+    prev = {(i,): a for i, a in enumerate(tup, 1)}
+    cur = {}
+    k = 2
+    for desc in enumerate_set(family, len(tup), d):
+        idx = desc.indices
+        if desc.kind == "n":
+            yield desc, tup[idx[0] - 1].norm()
+            continue
+        if len(idx) == 1:
+            yield desc, tup[idx[0] - 1].trace()
+            continue
+        if len(idx) > k:
+            prev, cur, k = cur, {}, len(idx)
+        prod = cur[idx] = prev[idx[:-1]] * tup[idx[-1] - 1]
+        yield desc, prod.trace()
 
 
 def eval_descriptor(desc, tup):

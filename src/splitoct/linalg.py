@@ -8,7 +8,7 @@ __all__ = ["echelon", "rank", "inverse", "det", "solve", "in_span", "matmul", "m
 
 
 def echelon(rows, field):
-    """Row echelon form (not reduced). Returns (rows, pivot_columns)."""
+    """Reduced row echelon form. Returns (rows, pivot_columns)."""
     m = [list(r) for r in rows]
     zero = field.zero
     nrows = len(m)
@@ -34,7 +34,7 @@ def echelon(rows, field):
         r += 1
         if r == nrows:
             break
-    return m[:r] + m[r:], pivots
+    return m, pivots
 
 
 def rank(rows, field):
@@ -110,11 +110,7 @@ def solve(a_rows, b, field):
         return None
     x = [zero] * ncols
     for r, c in enumerate(pivots):
-        acc = m[r][ncols]
-        for c2 in range(c + 1, ncols):
-            if m[r][c2] != zero:
-                acc = acc - m[r][c2] * x[c2]
-        x[c] = acc
+        x[c] = m[r][ncols]
     return x
 
 

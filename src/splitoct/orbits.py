@@ -9,7 +9,7 @@ import numpy as np
 from . import group as gp
 from . import linalg
 from . import octonion as oc
-from .invariants import enumerate_set, eval_descriptor
+from .invariants import evaluate_family
 from .scalars import GF
 
 __all__ = [
@@ -95,15 +95,15 @@ class SeparationReport:
 
 
 def separate(a_tup, b_tup, family="S", d=8):
-    """Evaluate the degree-filtered family on both tuples; the first
-    descriptor with differing values becomes the witness."""
+    """Evaluate the degree-filtered family on both tuples in lockstep; the
+    first descriptor with differing values becomes the witness, and no
+    later descriptor is evaluated."""
     if len(a_tup) != len(b_tup):
         raise ValueError("tuples must have equal length")
     if a_tup[0].ring is not b_tup[0].ring:
         raise ValueError("tuples must live over the same ring")
-    for desc in enumerate_set(family, len(a_tup), d):
-        va = eval_descriptor(desc, a_tup)
-        vb = eval_descriptor(desc, b_tup)
+    for (desc, va), (_desc, vb) in zip(evaluate_family(family, a_tup, d),
+                                       evaluate_family(family, b_tup, d)):
         if va != vb:
             return SeparationReport(True, desc, (va, vb))
     return SeparationReport(False)

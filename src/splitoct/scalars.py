@@ -15,14 +15,35 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic primality test; raises ValueError when p is at or
+    above the bound where the fixed Miller-Rabin bases are proven exact."""
+    if p >= _MR_LIMIT:
+        raise ValueError("modulus %d is too large: prime fields need "
+                         "p < %d" % (p, _MR_LIMIT))
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

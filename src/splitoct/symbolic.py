@@ -37,12 +37,6 @@ class CheckResult:
                              " (%s)" % (self.detail,) if self.detail else "")
 
 
-# name -> (number of generic octonions, checker)
-
-def _zero_oct(ring, a):
-    return a.is_zero()
-
-
 def _id_trace_symmetry(z):
     return (z[0] * z[1]).trace() - (z[1] * z[0]).trace()
 
@@ -99,6 +93,7 @@ def _id_norm_trace_relation(z):
     return 2 * a.norm() + (a * a).trace() - a.trace() * a.trace()
 
 
+# name -> (number of generic octonions, checker)
 _IDENTITIES = {
     "trace-symmetry": (2, _id_trace_symmetry),
     "norm-multiplicativity": (2, _id_norm_multiplicativity),

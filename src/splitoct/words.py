@@ -189,7 +189,6 @@ class TraceExpr:
 
     def reduce_mod(self, p):
         """Coefficients reduced into GF(p); drops vanishing monomials."""
-        field = None
         terms = {}
         for m, c in self.terms.items():
             c = Fraction(c)
@@ -199,8 +198,7 @@ class TraceExpr:
             r = (num * pow(den, p - 2, p)) % p
             if r:
                 terms[m] = r
-        expr = TraceExpr(terms)
-        return expr
+        return TraceExpr(terms)
 
     def monomials_sorted(self):
         return sorted(self.terms, key=lambda m: (_monomial_degree(m), m))

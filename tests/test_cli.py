@@ -1,6 +1,7 @@
 import pytest
 
 from splitoct import cli
+from splitoct import octonion as oc
 from splitoct.scalars import GF, QQ
 
 
@@ -42,6 +43,7 @@ def test_parse_tuple_file_comments_and_fractions_mod_p():
     ("", "missing"),
     ("notafield\n", "line 1"),
     ("field p=4\n", "line 1"),
+    ("field p=%d\n" % 2 ** 89, "too large"),
     ("field q\n1 2 3\n", "line 2"),
     ("field q\nx 0 0 0 0 0 0 0\n", "line 2"),
     ("field p=2\n1/2 0 0 0 0 0 0 0\n", "line 2"),
@@ -90,6 +92,40 @@ def test_separate_exit_codes(tmp_path, capsys):
     assert cli.main(["separate", a, bad]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""  # no partial table on error
+
+
+def _tuple_text(p, n):
+    rows = (" ".join(str((7 * i + 3 * j) % p) for j in range(8)) for i in range(n))
+    return "field p=%d\n%s\n" % (p, "\n".join(rows))
+
+
+def test_family_size_limit(tmp_path, capsys):
+    # 18 members at degree 8 is a family of 106,779 descriptors
+    big = write(tmp_path, "big.oct", _tuple_text(5, 18))
+    assert cli.main(["eval", big]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=18" in captured.err and "limit of 100000" in captured.err
+    assert cli.main(["separate", big, big]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit of 100000" in captured.err
+
+
+def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):
+    calls = []
+    mul = oc.Octonion.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(oc.Octonion, "__mul__", counting_mul)
+    path = write(tmp_path, "t.oct", _tuple_text(5, 12))
+    assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3808
+    # one product per trace of length 2..8 in 12 letters
+    assert len(calls) == 3784
 
 
 def test_separate_mismatched_fields(tmp_path, capsys):

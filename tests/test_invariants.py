@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitoct import group as gp
 from splitoct import invariants as inv
@@ -30,6 +32,19 @@ def test_enumerate_set_deterministic_order():
     b = [d.name() for d in inv.enumerate_set("S", 3, 8)]
     assert a == b
     assert a[0] == "tr(1)"  # degree 1 first
+
+
+def test_enumerate_set_size_limit():
+    # the largest family used by the command line checks and examples
+    assert len(inv.enumerate_set("S", 12, 8)) == 3808
+    with pytest.raises(ValueError) as err:
+        inv.enumerate_set("S", 18, 8)
+    msg = str(err.value)
+    assert "family S" in msg and "n=18" in msg and "d=8" in msg
+    assert str(inv.MAX_FAMILY_SIZE) in msg
+    # refused without counting the whole family
+    with pytest.raises(ValueError):
+        inv.enumerate_set("S0", 10 ** 6, 10 ** 6)
 
 
 def test_descriptor_validation():
@@ -79,6 +94,40 @@ def test_multihomogeneous_scaling():
                      else (2 if d.indices[0] == slot else 0))
             assert inv.eval_descriptor(d, scaled) == \
                 lam ** deg_i * inv.eval_descriptor(d, tup)
+
+
+def _reference_family(family, tup, d):
+    return [(desc, inv.eval_descriptor(desc, tup))
+            for desc in inv.enumerate_set(family, len(tup), d)]
+
+
+_RINGS = (QQ, GF(2), GF(5), GF(10 ** 14 + 31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_evaluate_family_matches_eval_descriptor(data):
+    family = data.draw(st.sampled_from(("S", "S0")))
+    ring = data.draw(st.sampled_from(_RINGS))
+    n = data.draw(st.integers(1, 6))
+    d = data.draw(st.integers(1, 8))
+    coord = (st.fractions(max_denominator=5).filter(lambda c: -9 <= c <= 9)
+             if ring is QQ else st.integers(0, ring.p - 1))
+    tup = tuple(oc.from_coords(ring, [ring(c) for c in
+                                      data.draw(st.lists(coord, min_size=8,
+                                                         max_size=8))])
+                for _ in range(n))
+    assert list(inv.evaluate_family(family, tup, d)) == \
+        _reference_family(family, tup, d)
+
+
+def test_evaluate_family_generic_octonions():
+    ring = PolynomialRing(QQ)
+    tup = tuple(inv.generic_octonion(ring, i) for i in (1, 2, 3))
+    for family in ("S", "S0"):
+        assert list(inv.evaluate_family(family, tup, 3)) == \
+            _reference_family(family, tup, 3)
+    assert list(inv.evaluate_family("S0", tup, 1)) == []
 
 
 def test_q_prime_skew_symmetry():

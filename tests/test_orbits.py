@@ -110,6 +110,47 @@ def test_separation_pair_degree4():
     assert r.values == (0, -1)
 
 
+def _reference_separate(a_tup, b_tup, family, d):
+    for desc in enumerate_set(family, len(a_tup), d):
+        va, vb = eval_descriptor(desc, a_tup), eval_descriptor(desc, b_tup)
+        if va != vb:
+            return desc, (va, vb)
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(10 ** 14 + 31)])
+def test_separate_matches_reference_scan(field):
+    rng = random.Random(83)
+    g = gp.compose(gp.delta1(field, (field(1), field(2), field(0))),
+                   gp.compose(gp.hbar(field),
+                              gp.delta2(field, (field(0), field(3), field(1)))))
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        family = rng.choice(("S", "S0"))
+        d = rng.randint(2, 8)
+        tup = tuple(oc.from_coords(field, [field(rng.randint(-3, 3))
+                                           for _ in range(8)])
+                    for _ in range(n))
+        image = gp.apply_tuple(g, tup)
+        assert not ob.separate(tup, image, family, d).separated
+        assert _reference_separate(tup, image, family, d) is None
+        k = rng.randrange(n)
+        a = image[k]
+        shifted = list(a.coords())
+        shifted[rng.randrange(8)] += field(1)
+        # u1 <-> u2 and v1 <-> v2 in one member keep its norm and trace,
+        # so only a product trace can separate
+        swapped = oc.Octonion(field, a.alpha, (a.u[1], a.u[0], a.u[2]),
+                              (a.v[1], a.v[0], a.v[2]), a.beta)
+        for b in (oc.from_coords(field, shifted), swapped):
+            perturbed = image[:k] + (b,) + image[k + 1:]
+            report = ob.separate(tup, perturbed, family, d)
+            ref = _reference_separate(tup, perturbed, family, d)
+            assert report.separated == (ref is not None)
+            if ref is not None:
+                assert (report.witness, report.values) == ref
+
+
 def test_separate_validations():
     with pytest.raises(ValueError):
         ob.separate((oc.zero(QQ),), (oc.zero(QQ), oc.zero(QQ)))

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from splitoct.scalars import (GF, QQ, PolynomialRing, coefficients_in_z_half)
+from splitoct.scalars import (GF, QQ, PolynomialRing, coefficients_in_z_half,
+                              _is_prime)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -31,6 +33,37 @@ def test_field_axioms_randomized_p7():
         assert a * (b + c) == a * b + a * c
         if a != field.zero:
             assert a * a.inverse() == field.one
+
+
+def _trial_division(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(-3, 10 ** 5) if _is_prime(p)] == \
+        [p for p in range(-3, 10 ** 5) if _trial_division(p)]
+
+
+def test_is_prime_large_moduli():
+    for carmichael in (561, 41041, 3215031751):
+        assert not _is_prime(carmichael)
+        with pytest.raises(ValueError):
+            GF(carmichael)
+    t0 = time.perf_counter()
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert GF(10 ** 14 + 31)(-1) == 10 ** 14 + 30
+    assert time.perf_counter() - t0 < 1.0
+    assert not _is_prime(2 ** 61 + 1)
+    # beyond the proven range of the fixed bases: refused, not guessed
+    with pytest.raises(ValueError, match="too large"):
+        GF(2 ** 89 - 1)
 
 
 def test_characteristic_two():
