@@ -70,29 +70,15 @@ def det(rows, field):
 
 
 def inverse(rows, field):
-    """Inverse via Gauss-Jordan; returns None for a singular matrix."""
+    """Inverse via Gauss-Jordan on (A | I); returns None for a singular matrix."""
     n = len(rows)
     zero, one = field.zero, field.one
     aug = [list(rows[i]) + [one if j == i else zero for j in range(n)]
            for i in range(n)]
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if aug[i][c] != zero:
-                pr = i
-                break
-        if pr is None:
-            return None
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != zero:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
+    m, pivots = echelon(aug, field)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in m]
 
 
 def solve(a_rows, b, field):

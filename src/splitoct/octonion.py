@@ -9,10 +9,7 @@ the variables z[i,1..8] of the polynomial ring.
 __all__ = [
     "Octonion", "dot3", "cross3", "basis", "identity", "zero",
     "unit_e", "unit_u", "unit_v", "from_coords", "from_basis_coords", "q_form",
-    "BASIS_NAMES",
 ]
-
-BASIS_NAMES = ("e1", "e2", "u1", "u2", "u3", "v1", "v2", "v3")
 
 
 def dot3(u, v):

@@ -48,7 +48,12 @@ def _is_prime(p):
 
 
 class FpElement:
-    """Residue in GF(p). Instances are interned per field."""
+    """Residue in GF(p).
+
+    A field with p <= _TABLE_LIMIT hands out one shared instance per
+    residue; a larger field allocates a new instance for every result, so
+    elements must be compared with ==, never with `is`.
+    """
 
     __slots__ = ("field", "r")
 
@@ -129,6 +134,12 @@ class FpElement:
         return self.r != 0
 
 
+# fields up to this size preallocate one FpElement per residue, so their
+# arithmetic allocates nothing; above it a table would grow with every
+# residue ever produced
+_TABLE_LIMIT = 1024
+
+
 class PrimeField:
     """GF(p) for prime p. `GF(p)` returns the interned instance."""
 
@@ -143,16 +154,16 @@ class PrimeField:
             inst.p = p
             inst.char = p
             inst.is_field = True
-            inst._elems = {}
+            inst._elems = ([FpElement(inst, r) for r in range(p)]
+                           if p <= _TABLE_LIMIT else None)
             cls._interned[p] = inst
         return inst
 
     def elem(self, r):
-        e = self._elems.get(r)
-        if e is None:
-            e = FpElement(self, r)
-            self._elems[r] = e
-        return e
+        """The element with residue r, for 0 <= r < p."""
+        if self._elems is not None:
+            return self._elems[r]
+        return FpElement(self, r)
 
     def __call__(self, x):
         if isinstance(x, FpElement):
@@ -356,11 +367,6 @@ class Polynomial:
                 vs.add(v)
         return sorted(vs)
 
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e for _v, e in m) for m in self.terms)
-
     def multidegree(self, n=None):
         """Per-slot degree vector (degree in the block z[i,.] for each i).
 
@@ -382,9 +388,6 @@ class Polynomial:
 
     def monomials_sorted(self):
         return sorted(self.terms)
-
-    def coefficients(self):
-        return [self.terms[m] for m in self.monomials_sorted()]
 
     def substitute(self, assignment):
         """Evaluate with variables (i,j) replaced per `assignment`.

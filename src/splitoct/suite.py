@@ -188,11 +188,24 @@ def check_degree4_pair_trace_values():
 
 
 def check_limit_table():
-    expected_after = {"(u1)": 0, "(1,u1)": 1, "(u1,v2)": 0, "(e1,u1)": 1,
-                      "(e1,v1)": 1, "(1,u1,v2)": 1, "(e1,e2,u1)": 2,
-                      "(e1,u1,v2)": 1, "(u1,v2,v3)": 1}
-    for name, _tup, _lam, res, before, after in ob.nonclosedness_witnesses(QQ):
-        if not res.exists or after >= before or after != expected_after[name]:
+    # the nine rank-dropping limits: the limit tuple and the rank after
+    zero, one = oc.zero(QQ), oc.identity(QQ)
+    e1, e2 = oc.unit_e(QQ, 1), oc.unit_e(QQ, 2)
+    expected = {"(u1)": ((zero,), 0),
+                "(1,u1)": ((one, zero), 1),
+                "(u1,v2)": ((zero, zero), 0),
+                "(e1,u1)": ((e1, zero), 1),
+                "(e1,v1)": ((e1, zero), 1),
+                "(1,u1,v2)": ((one, zero, zero), 1),
+                "(e1,e2,u1)": ((e1, e2, zero), 2),
+                "(e1,u1,v2)": ((e1, zero, zero), 1),
+                "(u1,v2,v3)": ((zero, zero, oc.unit_v(QQ, 3)), 1)}
+    rows = ob.nonclosedness_witnesses(QQ)
+    if len(rows) != len(expected):
+        return False
+    for name, _tup, _lam, res, before, after in rows:
+        if (not res.exists or after >= before
+                or (res.value, after) != expected[name]):
             return False
     return True
 
@@ -236,16 +249,14 @@ def check_matrix_bridge():
     for n, k in ((3, 3), (2, 2), (3, 2)):
         zs = [inv.generic_octonion(ring, i) for i in range(1, n + 1)]
         ms = [inv.generic_matrix(ring, i) for i in range(1, n + 1)]
-        for seq in [tuple(range(1, k + 1))]:
-            w = wd.left_normed(seq)
-            prod_oct = wd.evaluate(w, zs)
-            prod_mat = ms[seq[0] - 1]
-            for i in seq[1:]:
-                prod_mat = inv.mat2_mul(prod_mat, ms[i - 1])
-            if inv.psi_hat(prod_oct) != inv.embed_matrix(ring, prod_mat):
-                return False
-            if inv.psi(prod_oct.trace()) != inv.mat2_trace(prod_mat):
-                return False
+        prod_oct = wd.evaluate(wd.left_normed(tuple(range(1, k + 1))), zs)
+        prod_mat = ms[0]
+        for m in ms[1:k]:
+            prod_mat = inv.mat2_mul(prod_mat, m)
+        if inv.psi_hat(prod_oct) != inv.embed_matrix(ring, prod_mat):
+            return False
+        if inv.psi(prod_oct.trace()) != inv.mat2_trace(prod_mat):
+            return False
     z1 = inv.generic_octonion(ring, 1)
     m1 = inv.generic_matrix(ring, 1)
     return inv.psi(z1.norm()) == inv.mat2_det(m1)

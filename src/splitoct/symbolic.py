@@ -4,13 +4,10 @@ form of the skew symmetrized degree-4 trace, and a linear-algebra
 decomposability checker over exact fields.
 """
 
-from fractions import Fraction
-from itertools import permutations
-
 from . import linalg
 from . import octonion as oc
 from .invariants import (generic_octonion, generic_traceless_octonion,
-                         q_prime_combination)
+                         q_prime, q_prime_combination)
 from .scalars import QQ, PolynomialRing, coefficients_in_z_half
 
 __all__ = [
@@ -148,16 +145,7 @@ def skew_symmetrized_trace_polynomial(ring=None):
     if ring is None:
         ring = PolynomialRing(QQ)
     z = [generic_octonion(ring, i) for i in range(1, 5)]
-    acc = ring.zero
-    for perm in permutations(range(4)):
-        sgn = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sgn = -sgn
-        term = (((z[perm[0]] * z[perm[1]]) * z[perm[2]]) * z[perm[3]]).trace()
-        acc = acc + (term if sgn > 0 else -term)
-    return Fraction(1, 24) * acc
+    return q_prime(*z, path="sym")
 
 
 def verify_skew_symmetrization():

@@ -14,9 +14,10 @@ from splitoct import group as gp
 from splitoct import invariants as inv
 from splitoct import octonion as oc
 from splitoct import orbits as ob
+from splitoct import suite
 from splitoct import symbolic as sy
 from splitoct import words as wd
-from splitoct.scalars import GF, QQ, PolynomialRing, coefficients_in_z_half
+from splitoct.scalars import GF, QQ, PolynomialRing
 
 
 @contextmanager
@@ -37,79 +38,46 @@ def rand_oct(field, rng):
 def test_criterion_1_identity_suite():
     with criterion(1, "identity suite exact over QQ, GF(2), GF(5)"):
         t0 = time.time()
-        for base in (QQ, GF(2), GF(5)):
-            results = sy.verify_all_identities(base)
-            assert len(results) == 11
-            for r in results:
-                assert r.ok, r
+        assert suite.check_identity_suite()
         assert time.time() - t0 < 10.0
 
 
 def test_criterion_2_skew_symmetrization():
     with criterion(2, "skew symmetrization closed form, coefficients in Z[1/2]"):
         t0 = time.time()
-        assert sy.verify_skew_symmetrization()
-        assert coefficients_in_z_half(sy.skew_symmetrized_trace_polynomial())
+        assert suite.check_skew_symmetrization()
         assert time.time() - t0 < 60.0
 
 
 def test_criterion_3_example_values():
     with criterion(3, "worked example values, exact in the stated field"):
-        u1, u2, u3 = (oc.unit_u(QQ, i) for i in (1, 2, 3))
-        v1, v2, v3 = (oc.unit_v(QQ, i) for i in (1, 2, 3))
-        e1, e2 = oc.unit_e(QQ, 1), oc.unit_e(QQ, 2)
-        assert u1 * v1 == e1
-        assert u1 * u2 == v3
-        assert u1 * u3 == -v2
-        assert (u1 + v1).norm() == -1
-        assert (((v1 * v2) * v3) * (e1 - e2)).trace() == -1
-        # separation witnesses with their values
-        z = oc.zero(QQ)
-        r1 = ob.separate((z, z), (u1, v1), "S0", 2)
-        assert r1.separated and r1.witness.name() == "tr(1,2)"
-        assert not ob.separate((z, z, z), (v1, v2, v3), "S0", 2).separated
-        r2 = ob.separate((z, z, z), (v1, v2, v3), "S0", 3)
-        assert r2.separated and r2.witness.name() == "tr(1,2,3)"
-        c = e1 + u2 - v2 - e2
-        a4, b4 = (u1, v1, c, u2), (u1, v1, c, -v2)
-        assert not ob.separate(a4, b4, "S0", 3).separated
-        r3 = ob.separate(a4, b4, "S0", 4)
-        assert r3.separated and r3.witness.name() == "tr(1,2,3,4)"
-        assert r3.values == (0, -1)
+        assert suite.check_basis_products()
+        assert suite.check_norm_u1_plus_v1()
+        assert suite.check_generating_witness_trace()
+        assert suite.check_minimal_separation_pairs()
+        assert suite.check_degree4_pair_trace_values()
 
 
 def test_criterion_4_limit_table():
     with criterion(4, "all nine limits reproduce the printed tuples, rank drops"):
-        expected = {
-            "(u1)": (oc.zero(QQ),),
-            "(1,u1)": (oc.identity(QQ), oc.zero(QQ)),
-            "(u1,v2)": (oc.zero(QQ), oc.zero(QQ)),
-            "(e1,u1)": (oc.unit_e(QQ, 1), oc.zero(QQ)),
-            "(e1,v1)": (oc.unit_e(QQ, 1), oc.zero(QQ)),
-            "(1,u1,v2)": (oc.identity(QQ), oc.zero(QQ), oc.zero(QQ)),
-            "(e1,e2,u1)": (oc.unit_e(QQ, 1), oc.unit_e(QQ, 2), oc.zero(QQ)),
-            "(e1,u1,v2)": (oc.unit_e(QQ, 1), oc.zero(QQ), oc.zero(QQ)),
-            "(u1,v2,v3)": (oc.zero(QQ), oc.zero(QQ), oc.unit_v(QQ, 3)),
-        }
-        rows = ob.nonclosedness_witnesses(QQ)
-        assert len(rows) == 9
-        for name, _tup, _lam, res, before, after in rows:
-            assert res.exists
-            assert res.value == expected[name]
-            assert after < before
+        assert suite.check_limit_table()
 
 
 def test_criterion_5_group_enumeration(g2f2_array):
     with criterion(5, "GF(2) enumeration: 12096 automorphisms, inverse-closed"):
         t0 = time.time()
         mats, _words = g2f2_array
-        assert mats.shape[0] == 12096
-        assert gp.group_order_formula(2) == 12096
+        assert suite.check_group_order()
         assert gp.automorphism_mask(mats, 2).all()
+        # automorphisms preserve the form q, whose Gram matrix Q mod 2 is a
+        # permutation matrix equal to its own inverse: g^-1 = Q g^T Q
+        b = oc.basis(GF(2))
+        gram = np.array([[oc.q_form(x, y).r for y in b] for x in b],
+                        dtype=np.int64)
+        invs = gram @ mats.transpose(0, 2, 1) @ gram % 2
+        assert ((mats @ invs) % 2 == np.eye(8, dtype=np.int64)).all()
         keys = {m.tobytes() for m in mats}
-        for m in mats:
-            invm = gp.inverse_mod_q(m, 2)
-            assert invm is not None and invm.tobytes() in keys
+        assert all(m.tobytes() in keys for m in invs)
         assert time.time() - t0 < 60.0
 
 

@@ -15,6 +15,54 @@ VS_3 = ("field q\n"
         "0 0 0 0 0 0 1 0\n")
 
 
+VERIFY_OUT = """\
+trace-symmetry                 pass
+norm-multiplicativity          pass
+quadratic-relation             pass
+norm-polarization              pass
+product-polarization           pass
+left-alternative               pass
+right-alternative              pass
+left-alternative-linearized    pass
+right-alternative-linearized   pass
+trace-associativity            pass
+norm-trace-relation            pass
+skew-symmetrization            pass
+"""
+
+EXAMPLES_OUT = """\
+basis-products                            pass
+norm-of-u1-plus-v1                        pass
+degree-4-generating-witness               pass
+conjugation-antihomomorphism              pass
+hbar-action                               pass
+signed-permutation-image                  pass
+shift-automorphism-image                  pass
+diagonal-scaling                          pass
+trace-norm-preservation                   pass
+coordinate-action-formula                 pass
+minimal-separation-pairs                  pass
+degree-4-separation-values                pass
+limit-table                               pass
+limit-values                              pass
+skew-symmetrization-identity              pass
+skew-symmetrization-unit-specialization   pass
+skew-symmetrization-paths-agree           pass
+matrix-bridge                             pass
+matrix-generator-flags                    pass
+matrix-embedding                          pass
+subalgebra-closures                       pass
+group-order                               pass
+orbit-oracle-witness                      pass
+closed-class-table                        pass
+eval-row-value                            pass
+identity-suite                            pass
+trace-sign-rules                          pass
+basis-gram-nonsingular                    pass
+28 checks, 28 passed
+"""
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -159,10 +207,7 @@ def test_limit_bad_lambda(tmp_path, capsys):
 
 def test_verify_command(capsys):
     assert cli.main(["verify"]) == 0
-    out = capsys.readouterr().out
-    lines = [l for l in out.splitlines() if l.strip()]
-    assert len(lines) == 12
-    assert all(line.endswith("pass") for line in lines)
+    assert capsys.readouterr().out == VERIFY_OUT
 
 
 def test_group_command(capsys, g2f2_array):
@@ -170,12 +215,15 @@ def test_group_command(capsys, g2f2_array):
     captured = capsys.readouterr()
     assert captured.out == "order 12096\n"
     assert "elapsed" in captured.err
+    assert cli.main(["group", "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "restricted to q = 2" in captured.err
 
 
 def test_examples_command(capsys, g2f2_array):
     assert cli.main(["paper-examples"]) == 0
-    out = capsys.readouterr().out
-    assert "28 checks, 28 passed" in out
+    assert capsys.readouterr().out == EXAMPLES_OUT
 
 
 def test_byte_determinism(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splitoct import group as gp
+from splitoct import linalg
 from splitoct import octonion as oc
 from splitoct import suite
 from splitoct.invariants import generic_octonion
@@ -19,7 +20,6 @@ def random_sl3(field, rng):
     """Random product of transvections, so the determinant is one."""
     ts = gp.sl3_transvections(field)
     m = [[field.one if i == j else field.zero for j in range(3)] for i in range(3)]
-    from splitoct import linalg
     for _ in range(rng.randint(2, 6)):
         m = linalg.matmul(m, rng.choice(ts))
     return m
@@ -145,6 +145,11 @@ def test_generator_inverses():
     for g in gens:
         assert g.compose(g.inverse()) == ident
         assert g.inverse().compose(g) == ident
+    # a zero column leaves column 3 without a pivot
+    singular = [list(row) for row in ident.rows]
+    singular[3][3] = field.zero
+    with pytest.raises(ValueError):
+        gp.GroupElement(field, singular).inverse()
 
 
 def test_coordinate_action_formula():
@@ -188,11 +193,15 @@ def test_enumeration_deterministic(g2f2_array):
 
 def test_enumeration_inverse_closed_sample(g2f2_array):
     mats, _ = g2f2_array
+    field = GF(2)
     keys = {m.tobytes() for m in mats}
     rng = random.Random(18)
     for idx in rng.sample(range(len(mats)), 300):
-        inv = gp.inverse_mod_q(mats[idx], 2)
-        assert inv is not None and inv.tobytes() in keys
+        inv = linalg.inverse([[field(int(x)) for x in row] for row in mats[idx]],
+                             field)
+        assert inv is not None
+        assert np.array([[x.r for x in row] for row in inv],
+                        dtype=np.int64).tobytes() in keys
 
 
 def test_enumerated_elements_are_exact(g2f2_elements):
@@ -205,5 +214,7 @@ def test_enumerated_elements_are_exact(g2f2_elements):
 
 
 def test_enumeration_refuses_large_q():
-    with pytest.raises(ValueError):
-        gp.enumerate_group_array(5)
+    for q in (3, 5):
+        with pytest.raises(ValueError):
+            gp.enumerate_group_array(q)
+    assert set(gp._enum_cache) <= {2}

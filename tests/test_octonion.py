@@ -13,23 +13,10 @@ def rand_oct(field, rng):
                                   for _ in range(8)])
 
 
-def test_basis_products():
-    u1, u2, u3 = (oc.unit_u(QQ, i) for i in (1, 2, 3))
-    v1, v2, v3 = (oc.unit_v(QQ, i) for i in (1, 2, 3))
-    assert u1 * v1 == oc.unit_e(QQ, 1)
-    assert u1 * u2 == v3
-    assert u1 * u3 == -v2
-
-
 def test_trace_norm_of_e1():
     e1 = oc.unit_e(QQ, 1)
     assert e1.trace() == 1
     assert e1.norm() == 0
-
-
-def test_norm_of_u1_plus_v1():
-    b = oc.unit_u(QQ, 1) + oc.unit_v(QQ, 1)
-    assert b.norm() == -1
 
 
 def test_traceless_predicate():

@@ -83,33 +83,6 @@ def test_gl_action_preserves_nonseparation(g2f2_elements):
         assert before == after
 
 
-def test_separation_pair_rank2():
-    z = oc.zero(QQ)
-    r = ob.separate((z, z), (oc.unit_u(QQ, 1), oc.unit_v(QQ, 1)), "S0", 2)
-    assert r.separated and r.witness.name() == "tr(1,2)"
-    assert r.values == (0, 1)
-
-
-def test_separation_pair_rank3():
-    z = oc.zero(QQ)
-    vs = tuple(oc.unit_v(QQ, i) for i in (1, 2, 3))
-    assert not ob.separate((z, z, z), vs, "S0", 2).separated
-    r = ob.separate((z, z, z), vs, "S0", 3)
-    assert r.separated and r.witness.name() == "tr(1,2,3)"
-
-
-def test_separation_pair_degree4():
-    u1, u2 = oc.unit_u(QQ, 1), oc.unit_u(QQ, 2)
-    v1, v2 = oc.unit_v(QQ, 1), oc.unit_v(QQ, 2)
-    c = oc.unit_e(QQ, 1) + u2 - v2 - oc.unit_e(QQ, 2)
-    a4 = (u1, v1, c, u2)
-    b4 = (u1, v1, c, -v2)
-    assert not ob.separate(a4, b4, "S0", 3).separated
-    r = ob.separate(a4, b4, "S0", 4)
-    assert r.separated and r.witness.name() == "tr(1,2,3,4)"
-    assert r.values == (0, -1)
-
-
 def _reference_separate(a_tup, b_tup, family, d):
     for desc in enumerate_set(family, len(a_tup), d):
         va, vb = eval_descriptor(desc, a_tup), eval_descriptor(desc, b_tup)
@@ -167,26 +140,6 @@ def test_limit_examples():
     assert not ob.limit((1, -1, 0), (oc.unit_v(QQ, 1),)).exists
     with pytest.raises(ValueError):
         ob.limit((1, 1, 0), (u1,))
-
-
-def test_nonclosedness_table_values():
-    expected = {
-        "(u1)": (oc.zero(QQ),),
-        "(1,u1)": (oc.identity(QQ), oc.zero(QQ)),
-        "(u1,v2)": (oc.zero(QQ), oc.zero(QQ)),
-        "(e1,u1)": (oc.unit_e(QQ, 1), oc.zero(QQ)),
-        "(e1,v1)": (oc.unit_e(QQ, 1), oc.zero(QQ)),
-        "(1,u1,v2)": (oc.identity(QQ), oc.zero(QQ), oc.zero(QQ)),
-        "(e1,e2,u1)": (oc.unit_e(QQ, 1), oc.unit_e(QQ, 2), oc.zero(QQ)),
-        "(e1,u1,v2)": (oc.unit_e(QQ, 1), oc.zero(QQ), oc.zero(QQ)),
-        "(u1,v2,v3)": (oc.zero(QQ), oc.zero(QQ), oc.unit_v(QQ, 3)),
-    }
-    rows = ob.nonclosedness_witnesses(QQ)
-    assert len(rows) == 9
-    for name, _tup, _lam, res, before, after in rows:
-        assert res.exists
-        assert res.value == expected[name]
-        assert after < before
 
 
 def test_limit_agrees_with_curve_constant_term():

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -210,3 +212,19 @@ def test_multidegree():
     g = f + ring.var(1, 2)
     with pytest.raises(ValueError):
         g.multidegree(2)
+
+
+def test_large_field_elements_are_not_retained():
+    field = GF(10 ** 14 + 31)
+    x = field(3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(100000):
+            x * field(k)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 10 ** 6

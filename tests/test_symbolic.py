@@ -25,10 +25,6 @@ def test_unknown_identity_rejected():
         sy.verify_identity("no-such-identity")
 
 
-def test_skew_symmetrization_closed_form():
-    assert sy.verify_skew_symmetrization()
-
-
 def test_skew_symmetrization_coefficients_in_z_half():
     poly = sy.skew_symmetrized_trace_polynomial()
     assert coefficients_in_z_half(poly)

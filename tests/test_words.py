@@ -65,15 +65,6 @@ def test_evaluate_generating_witness():
     assert wd.evaluate(w, (v1, v2, v3, d)).trace() == -1
 
 
-def test_evaluate_degree4_separation_pair():
-    u1, u2 = oc.unit_u(QQ, 1), oc.unit_u(QQ, 2)
-    v1, v2 = oc.unit_v(QQ, 1), oc.unit_v(QQ, 2)
-    c = oc.unit_e(QQ, 1) + u2 - v2 - oc.unit_e(QQ, 2)
-    w = wd.left_normed((1, 2, 3, 4))
-    assert wd.evaluate(w, (u1, v1, c, u2)).trace() == 0
-    assert wd.evaluate(w, (u1, v1, c, -v2)).trace() == -1
-
-
 def test_normalize_already_canonical():
     assert wd.normalize_trace((1, 2)) == wd.te_tr((1, 2))
 
