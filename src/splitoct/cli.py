@@ -3,7 +3,9 @@
 Tuple files are plain text: a header line "field q" (rationals) or
 "field p=<prime>", then one octonion per line as 8 whitespace-separated
 scalars in the order alpha u1 u2 u3 v1 v2 v3 beta.  '#' starts a
-comment.  Negative literals are accepted in any field and reduced.
+comment.  A scalar is an integer, a decimal or num/den; exponent
+notation is refused.  Negative literals are accepted in any field and
+reduced.
 """
 
 import argparse
@@ -28,6 +30,10 @@ class ParseError(Exception):
 
 def _parse_scalar(ring, token, lineno):
     try:
+        # exponent notation is refused: Fraction("1e999999999") would
+        # build an integer of a billion digits
+        if "e" in token.lower():
+            raise ValueError(token)
         frac = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError("line %d: cannot parse scalar %r" % (lineno, token))
@@ -220,10 +226,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+    except (ParseError, ValueError, IndexError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -88,7 +88,8 @@ def enumerate_set(family, n, d):
                 "family %s with n=%d, d=%d has at least %d descriptors, more "
                 "than the limit of %d" % (family, n, d, size, MAX_FAMILY_SIZE))
     out = []
-    for deg in range(1, d + 1):
+    # no descriptor has degree above max(n, 2)
+    for deg in range(1, min(d, max(n, 2)) + 1):
         if deg == 2:
             for i in range(1, n + 1):
                 out.append(Descriptor("n", (i,)))
@@ -222,13 +223,8 @@ def psi(f):
     j in {3, 4, 6, 7}."""
     if not isinstance(f, Polynomial):
         raise TypeError("psi expects a polynomial")
-    assignment = {}
-    for (i, j) in f.variables():
-        if j in _PSI_KILLED:
-            assignment[(i, j)] = f.ring.zero
-    if not assignment:
-        return f
-    return f.substitute(assignment)
+    return Polynomial(f.ring, {m: c for m, c in f.terms.items()
+                               if not any(j in _PSI_KILLED for _i, j in m)})
 
 
 def psi_hat(a):

@@ -8,6 +8,7 @@ same object.
 """
 
 from fractions import Fraction
+from itertools import groupby
 
 __all__ = [
     "GF", "QQ", "PrimeField", "RationalField", "PolynomialRing",
@@ -118,14 +119,16 @@ class FpElement:
         return self.field.elem(pow(self.r, k, self.field.p))
 
     def __eq__(self, other):
+        # an int is equal only to the element whose residue it is, so
+        # equal objects hash equal
         if isinstance(other, FpElement):
             return self.field is other.field and self.r == other.r
         if isinstance(other, int):
-            return self.r == other % self.field.p
+            return self.r == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.r))
+        return hash(self.r)
 
     def __repr__(self):
         return str(self.r)
@@ -238,12 +241,53 @@ class RationalField:
 QQ = RationalField()
 
 
+def add_terms(a, b):
+    """The sum of two term dicts (monomial -> nonzero coefficient)."""
+    terms = dict(a)
+    for m, c in b.items():
+        s = terms.get(m)
+        if s is None:
+            terms[m] = c
+        else:
+            s = s + c
+            if s == 0:
+                del terms[m]
+            else:
+                terms[m] = s
+    return terms
+
+
+def mul_terms(a, b):
+    """The product of two term dicts whose monomials are sorted tuples of
+    factors; coefficients lie in a field or in Z, so no product of two
+    of them vanishes."""
+    terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2))
+            s = terms.get(m)
+            if s is None:
+                terms[m] = c1 * c2
+            else:
+                s = s + c1 * c2
+                if s == 0:
+                    del terms[m]
+                else:
+                    terms[m] = s
+    return terms
+
+
+def _exponents(m):
+    """A monomial as its ((i, j), exponent) pairs."""
+    return tuple((v, len(tuple(g))) for v, g in groupby(m))
+
+
 class Polynomial:
     """Sparse polynomial in variables z[i,j].
 
     `terms` maps a monomial to a nonzero base-field coefficient.  A
-    monomial is a tuple of ((i, j), exponent) pairs sorted by variable,
-    so monomials compare lexicographically on (i, j) then exponent.
+    monomial is the sorted tuple of its variables (i, j), each repeated
+    by its exponent: z[1,1]^2*z[1,2] is ((1, 1), (1, 1), (1, 2)).
     """
 
     __slots__ = ("ring", "terms")
@@ -266,15 +310,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        zero = self.ring.base.zero
-        for m, c in o.terms.items():
-            s = terms.get(m, zero) + c
-            if s == zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, add_terms(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -297,21 +333,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        zero = self.ring.base.zero
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                c = c1 * c2
-                if c == zero:
-                    continue
-                m = _mul_monomials(m1, m2)
-                s = terms.get(m)
-                s = c if s is None else s + c
-                if s == zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, mul_terms(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -328,15 +350,16 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
+        # a scalar equals a constant polynomial whose constant equals it
+        # uncoerced, so a constant hashes as its constant
         if isinstance(other, Polynomial):
             return self.ring is other.ring and self.terms == other.terms
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        return self.is_constant() and self.terms.get((), 0) == other
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
+        if self.is_constant():
+            return hash(self.terms.get((), 0))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -361,11 +384,7 @@ class Polynomial:
         return self.ring.constant(Fraction(1) / Fraction(c))
 
     def variables(self):
-        vs = set()
-        for m in self.terms:
-            for (v, _e) in m:
-                vs.add(v)
-        return sorted(vs)
+        return sorted({v for m in self.terms for v in m})
 
     def multidegree(self, n=None):
         """Per-slot degree vector (degree in the block z[i,.] for each i).
@@ -373,12 +392,12 @@ class Polynomial:
         Raises ValueError unless the polynomial is multihomogeneous.
         """
         if n is None:
-            n = max((v[0] for m in self.terms for (v, _e) in m), default=0)
+            n = max((v[0] for m in self.terms for v in m), default=0)
         mdeg = None
         for m in self.terms:
             d = [0] * n
-            for ((i, _j), e) in m:
-                d[i - 1] += e
+            for (i, _j) in m:
+                d[i - 1] += 1
             d = tuple(d)
             if mdeg is None:
                 mdeg = d
@@ -387,53 +406,30 @@ class Polynomial:
         return mdeg if mdeg is not None else (0,) * n
 
     def monomials_sorted(self):
-        return sorted(self.terms)
+        return sorted(self.terms, key=_exponents)
 
     def substitute(self, assignment):
         """Evaluate with variables (i,j) replaced per `assignment`.
 
-        Values must all live in one ring (base scalars, or polynomials of
-        one polynomial ring).  Unassigned variables are retained, which
-        requires the target ring to be this very ring.  Returns a base
-        scalar when the target is the base field, a Polynomial otherwise.
+        The target ring is the one polynomial ring among the values
+        (ValueError for two), else this ring when a variable is left
+        unassigned (it is then retained), else the base field.  Every
+        value and every coefficient is coerced into the target once.
         """
-        target = None
-        for v in assignment.values():
-            r = v.ring if isinstance(v, Polynomial) else None
-            if target is None:
-                target = r
-            elif target is not r:
-                raise ValueError("mixed-ring assignment")
+        rings = {a.ring for a in assignment.values() if isinstance(a, Polynomial)}
+        if len(rings) > 1:
+            raise ValueError("mixed-ring assignment")
         retained = [v for v in self.variables() if v not in assignment]
-        if retained:
-            if target is None:
-                target = self.ring
-            if target is not self.ring:
-                raise ValueError("retained variables need the original ring")
-        if target is None:
-            # scalar values only; land in the base field
-            acc = self.ring.base.zero
-            for m, c in self.terms.items():
-                val = c
-                for (v, e) in m:
-                    a = assignment[v]
-                    if isinstance(a, (int, Fraction)):
-                        a = self.ring.base(a)
-                    for _ in range(e):
-                        val = val * a
-                acc = acc + val
-            return acc
+        target = rings.pop() if rings else self.ring if retained else self.ring.base
+        if retained and target is not self.ring:
+            raise ValueError("retained variables need the original ring")
+        values = {v: target(a) for v, a in assignment.items()}
+        values.update((v, target.var(*v)) for v in retained)
         acc = target.zero
         for m, c in self.terms.items():
-            val = target.constant(c)
-            for (v, e) in m:
-                if v in assignment:
-                    a = assignment[v]
-                    if not isinstance(a, Polynomial):
-                        a = target.constant(target.base(a))
-                else:
-                    a = target.var(*v)
-                val = val * a ** e
+            val = target(c)
+            for v in m:
+                val = val * values[v]
             acc = acc + val
         return acc
 
@@ -444,7 +440,7 @@ class Polynomial:
         for m in self.monomials_sorted():
             c = self.terms[m]
             factors = ["z[%d,%d]%s" % (v[0], v[1], "" if e == 1 else "^%d" % e)
-                       for v, e in m]
+                       for v, e in _exponents(m)]
             body = "*".join(factors)
             if not factors:
                 parts.append(str(c))
@@ -453,17 +449,6 @@ class Polynomial:
             else:
                 parts.append("%s*%s" % (c, body))
         return " + ".join(parts)
-
-
-def _mul_monomials(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
 
 
 class PolynomialRing:
@@ -483,7 +468,7 @@ class PolynomialRing:
         return inst
 
     def var(self, i, j):
-        return Polynomial(self, {(((i, j), 1),): self.base.one})
+        return Polynomial(self, {((i, j),): self.base.one})
 
     def constant(self, c):
         c = self.base(c) if isinstance(c, (int, Fraction)) else c

@@ -206,7 +206,7 @@ def decomposability_check(target, generators, field=QQ):
 
     generators: list of (label, polynomial) pairs.
     """
-    n = max((v[0] for m in target.terms for (v, _e) in m), default=1)
+    n = max((i for i, _j in target.variables()), default=1)
     tmdeg = target.multidegree(n)
     gens = []
     for label, g in generators:

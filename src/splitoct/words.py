@@ -22,6 +22,8 @@ each with its full correction terms.
 
 from fractions import Fraction
 
+from .scalars import add_terms, mul_terms
+
 __all__ = [
     "degree", "leaves", "multidegree", "is_multilinear",
     "left_normed", "is_left_normed", "ln_indices", "evaluate",
@@ -142,14 +144,7 @@ class TraceExpr:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = te_const(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return TraceExpr(terms)
+        return TraceExpr(add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -166,16 +161,7 @@ class TraceExpr:
             if other == 0:
                 return TraceExpr()
             return TraceExpr({m: c * other for m, c in self.terms.items()})
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                s = terms.get(m, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return TraceExpr(terms)
+        return TraceExpr(mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitoct import cli
 from splitoct import octonion as oc
@@ -96,11 +98,31 @@ def test_parse_tuple_file_comments_and_fractions_mod_p():
     ("field q\nx 0 0 0 0 0 0 0\n", "line 2"),
     ("field p=2\n1/2 0 0 0 0 0 0 0\n", "line 2"),
     ("field q\n", "no octonions"),
+    ("field q\n1e4000000 0 0 0 0 0 0 0\n", "line 2"),
+    ("field q\n0 1E-4000000 0 0 0 0 0 0\n", "line 2"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(cli.ParseError) as err:
         cli.parse_tuple_file(text)
     assert fragment in str(err.value)
+
+
+_TOKENS = st.one_of(st.text("0123456789+-/.eEx_", min_size=1, max_size=12),
+                   st.integers(-10 ** 6, 10 ** 6).map(str))
+_HEADERS = st.sampled_from(["field q", "field p=2", "field p=5", "field p=4",
+                            "field p=-3", "field p=1000003", "field p=x",
+                            "field", "notafield"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_HEADERS, st.lists(st.lists(_TOKENS, min_size=7, max_size=9), max_size=3))
+def test_parse_tuple_file_raises_only_parse_errors(header, rows):
+    text = "\n".join([header] + [" ".join(row) for row in rows]) + "\n"
+    try:
+        ring, tup = cli.parse_tuple_file(text)
+    except cli.ParseError:
+        return
+    assert len(tup) == len(rows) and all(a.ring is ring for a in tup)
 
 
 def test_eval_command(tmp_path, capsys):

@@ -34,6 +34,13 @@ def test_enumerate_set_deterministic_order():
     assert a[0] == "tr(1)"  # degree 1 first
 
 
+def test_enumerate_set_stops_at_the_largest_descriptor_degree():
+    # no descriptor has degree above max(n, 2), so a huge d costs nothing
+    assert inv.enumerate_set("S", 3, 10 ** 9) == inv.enumerate_set("S", 3, 3)
+    assert inv.enumerate_set("S", 1, 10 ** 9) == inv.enumerate_set("S", 1, 2)
+    assert inv.enumerate_set("S0", 3, 10 ** 9) == inv.enumerate_set("S0", 3, 3)
+
+
 def test_enumerate_set_size_limit():
     # the largest family used by the command line checks and examples
     assert len(inv.enumerate_set("S", 12, 8)) == 3808
@@ -183,6 +190,26 @@ def test_psi_kills_outer_coordinates():
     ring = PolynomialRing(QQ)
     assert inv.psi(ring.var(1, 3)).is_zero()
     assert inv.psi(ring.var(1, 2)) == ring.var(1, 2)
+
+
+_FACTOR = st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]),
+       st.lists(st.tuples(st.integers(-3, 3), st.lists(_FACTOR, max_size=3)),
+                max_size=6))
+def test_psi_matches_substitution_of_zeros(base, terms):
+    # the term filter against the exact substitution path it replaced
+    ring = PolynomialRing(base)
+    f = ring.zero
+    for c, factors in terms:
+        term = ring.constant(base(c))
+        for i, j, e in factors:
+            term = term * ring.var(i, j) ** e
+        f = f + term
+    killed = {(i, j): ring.zero for (i, j) in f.variables() if j in (3, 4, 6, 7)}
+    assert inv.psi(f) == f.substitute(killed)
 
 
 def test_psi_intertwines_products_traces_norms():

@@ -188,6 +188,31 @@ def test_substitute_commutes_with_arithmetic_mod_p():
         assert (f * g).substitute(vals) == f.substitute(vals) * g.substitute(vals)
 
 
+def test_substitute_is_independent_of_assignment_order():
+    ring = PolynomialRing(QQ)
+    f = ring.var(1, 1) * ring.var(1, 2)
+    pairs = [((1, 1), Fraction(2)), ((1, 2), ring.var(2, 1))]
+    for order in (pairs, pairs[::-1]):
+        assert f.substitute(dict(order)) == 2 * ring.var(2, 1)
+
+
+def test_equal_scalars_hash_equal():
+    f5 = GF(5)
+    assert len({f5(1), 1}) == 1
+    assert f5(1) == 1 and hash(f5(1)) == hash(1)
+    assert f5(1) != 6
+    one = PolynomialRing(QQ).one
+    for x in (1, Fraction(1)):
+        assert one == x and hash(one) == hash(x)
+    three = PolynomialRing(GF(5)).constant(3)
+    for x in (f5(3), 3):
+        assert three == x and hash(three) == hash(x)
+    assert three != 8
+    assert PolynomialRing(QQ).zero == 0 and hash(PolynomialRing(QQ).zero) == hash(0)
+    # a non-constant polynomial never equals a scalar
+    assert PolynomialRing(QQ).var(1, 1) != 1
+
+
 def test_polynomial_nonunit_inverse_errors():
     ring = PolynomialRing(QQ)
     with pytest.raises(ZeroDivisionError):
