@@ -16,17 +16,19 @@ and linearized alternativity:
   (square)    (PA)A = P(A*A) = tr(A)(PA) - n(A)P
 
 Products of left-normed words reduce by induction on the length of the
-right factor; index sequences are then sorted by adjacent transpositions,
+right factor, and the trace of such a product by the same induction on
+traces alone; index sequences are then sorted by adjacent transpositions,
 each with its full correction terms.
 """
 
 from fractions import Fraction
+from functools import cache
 
-from .scalars import add_terms, mul_terms
+from .scalars import GF, add_terms, mul_terms
 
 __all__ = [
     "degree", "leaves", "multidegree", "is_multilinear",
-    "left_normed", "is_left_normed", "ln_indices", "evaluate",
+    "left_normed", "evaluate",
     "TraceExpr", "te_const", "te_tr", "te_norm",
     "normalize_trace", "multilinear_sign", "Decomposable", "DECOMPOSABLE",
     "all_shapes", "canonical_trace",
@@ -68,25 +70,6 @@ def left_normed(indices):
     for i in indices[1:]:
         w = (w, i)
     return w
-
-
-def is_left_normed(w):
-    while not isinstance(w, int):
-        if not isinstance(w[1], int):
-            return False
-        w = w[0]
-    return True
-
-
-def ln_indices(w):
-    """Index sequence of a left-normed word."""
-    out = []
-    while not isinstance(w, int):
-        out.append(w[1])
-        w = w[0]
-    out.append(w)
-    out.reverse()
-    return tuple(out)
 
 
 def all_shapes(d):
@@ -166,6 +149,8 @@ class TraceExpr:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = te_const(other)
         if not isinstance(other, TraceExpr):
             return NotImplemented
         return self.terms == other.terms
@@ -174,14 +159,12 @@ class TraceExpr:
         return not self.terms
 
     def reduce_mod(self, p):
-        """Coefficients reduced into GF(p); drops vanishing monomials."""
+        """Coefficients reduced into GF(p), p prime; drops vanishing
+        monomials."""
+        field = GF(p)
         terms = {}
         for m, c in self.terms.items():
-            c = Fraction(c)
-            num, den = c.numerator % p, c.denominator % p
-            if den == 0:
-                raise ZeroDivisionError("coefficient %s undefined mod %d" % (c, p))
-            r = (num * pow(den, p - 2, p)) % p
+            r = field(c).r  # a Fraction goes through field.from_fraction
             if r:
                 terms[m] = r
         return TraceExpr(terms)
@@ -207,7 +190,7 @@ class TraceExpr:
                     if f[0] == "t":
                         fv = evaluate(left_normed(f[1]), tup, memo).trace()
                     else:
-                        fv = tup[f[1] - 1].norm()
+                        fv = evaluate(f[1], tup).norm()
                     cache[f] = fv
                 val = val * fv
             acc = acc + val
@@ -249,56 +232,38 @@ _TE_ONE = te_const(1)
 
 # ---------------------------------------------------------------------------
 # The rewriting engine
+#
+# A left-normed word is its index tuple, the unit is UNIT = ().  A
+# combination of such words maps each word to its TraceExpr coefficient.
+# The memos live as long as the process; cached results are shared, so
+# callers copy before they mutate.
 
-_canon_cache = {}
-_mul_cache = {}
 
-
+@cache
 def canonical_trace(J):
-    """tr of the left-normed word with index sequence J, as a TraceExpr
-    over sorted strictly increasing canonical monomials."""
-    J = tuple(J)
-    out = _canon_cache.get(J)
-    if out is not None:
-        return out
-    k = len(J)
-    if k == 1:
-        out = te_tr(J)
-    elif k == 2:
-        i, j = J
-        if i == j:
-            # tr(Z^2) = tr(Z)^2 - 2 n(Z), from the quadratic relation
-            out = te_tr((i,)) * te_tr((i,)) - 2 * te_norm(i)
-        else:
-            out = te_tr((min(i, j), max(i, j)))
+    """tr of the left-normed word with index tuple J (tr(1) = 2 for the
+    empty tuple), as a TraceExpr over sorted strictly increasing
+    canonical monomials."""
+    if not J:
+        return te_const(2)
+    for m in range(len(J) - 1):
+        if J[m] >= J[m + 1]:
+            break
     else:
-        m = None
-        for t in range(k - 1):
-            if J[t] >= J[t + 1]:
-                m = t
-                break
-        if m is None:
-            out = te_tr(J)
-        elif J[m] == J[m + 1]:
-            j = J[m]
-            rest1 = J[:m] + (j,) + J[m + 2:]
-            rest2 = J[:m] + J[m + 2:]
-            out = te_tr((j,)) * canonical_trace(rest1) \
-                - te_norm(j) * canonical_trace(rest2)
-        else:
-            a, b = J[m], J[m + 1]
-            swapped = J[:m] + (b, a) + J[m + 2:]
-            with_b = J[:m] + (b,) + J[m + 2:]
-            with_a = J[:m] + (a,) + J[m + 2:]
-            dropped = J[:m] + J[m + 2:]
-            tab = te_tr((min(a, b), max(a, b)))
-            ta, tb = te_tr((a,)), te_tr((b,))
-            out = -canonical_trace(swapped) \
-                + ta * canonical_trace(with_b) \
-                + tb * canonical_trace(with_a) \
-                + (tab - ta * tb) * canonical_trace(dropped)
-    _canon_cache[J] = out
-    return out
+        return te_tr(J)
+    if J[m] == J[m + 1]:
+        # the square step; with nothing else in J it is the quadratic
+        # relation tr(Z^2) = tr(Z)^2 - 2 n(Z)
+        j = J[m]
+        return te_tr((j,)) * canonical_trace(J[:m + 1] + J[m + 2:]) \
+            - te_norm(j) * canonical_trace(J[:m] + J[m + 2:])
+    a, b = J[m], J[m + 1]
+    tab = te_tr((min(a, b), max(a, b)))
+    ta, tb = te_tr((a,)), te_tr((b,))
+    return -canonical_trace(J[:m] + (b, a) + J[m + 2:]) \
+        + ta * canonical_trace(J[:m] + (b,) + J[m + 2:]) \
+        + tb * canonical_trace(J[:m] + (a,) + J[m + 2:]) \
+        + (tab - ta * tb) * canonical_trace(J[:m] + J[m + 2:])
 
 
 def _ae_add(acc, key, expr):
@@ -310,46 +275,37 @@ def _ae_add(acc, key, expr):
         acc[key] = cur
 
 
-def _trace_of(acc):
-    out = TraceExpr()
-    for key, s in acc.items():
-        if key == UNIT:
-            out = out + s * 2  # tr(1_O) = 2
-        else:
-            out = out + s * canonical_trace(ln_indices(key))
-    return out
+@cache
+def _trace_mul(L, R):
+    """tr(L R) for left-normed words L, R (either may be UNIT): the trace
+    of the exchange step of _mul_left_normed, so no product is expanded."""
+    if not L or len(R) <= 1:
+        return canonical_trace(L + R)
+    R1, x = R[:-1], R[-1:]
+    tL, tLx, tR1 = canonical_trace(L), canonical_trace(L + x), canonical_trace(R1)
+    return tL * canonical_trace(R) + tLx * tR1 - _trace_mul(L + x, R1) \
+        + (_trace_mul(L, R1) - tL * tR1) * canonical_trace(x)
 
 
+@cache
 def _mul_left_normed(L, R):
     """Product of two left-normed words as a combination of left-normed
     words and the unit, with TraceExpr coefficients.  Exact identity."""
-    key = (L, R)
-    out = _mul_cache.get(key)
-    if out is not None:
-        return out
-    if isinstance(R, int):
-        out = {(L, R): _TE_ONE}
-        _mul_cache[key] = out
-        return out
-    R1, x = R
-    M = _mul_left_normed((L, x), R1)
-    tL = canonical_trace(ln_indices(L))
-    tLx = canonical_trace(ln_indices(L) + (x,))
-    tR1 = canonical_trace(ln_indices(R1))
-    tLR1 = _trace_of(_mul_left_normed(L, R1))
-    tM = _trace_of(M)
-    out = dict(M)
+    if len(R) == 1:
+        return {L + R: _TE_ONE}
+    R1, x = R[:-1], R[-1:]
+    tL, tLx, tR1 = canonical_trace(L), canonical_trace(L + x), canonical_trace(R1)
+    out = dict(_mul_left_normed(L + x, R1))
     _ae_add(out, R, tL)
     _ae_add(out, R1, -tLx)
-    _ae_add(out, x, tLR1 - tL * tR1)
-    _ae_add(out, UNIT, -(tM - tR1 * tLx))
-    _mul_cache[key] = out
+    _ae_add(out, x, _trace_mul(L, R1) - tL * tR1)
+    _ae_add(out, UNIT, -(_trace_mul(L + x, R1) - tR1 * tLx))
     return out
 
 
 def _to_left_normed(w):
     if isinstance(w, int):
-        return {w: _TE_ONE}
+        return {(w,): _TE_ONE}
     ea = _to_left_normed(w[0])
     eb = _to_left_normed(w[1])
     out = {}
@@ -369,10 +325,20 @@ def _to_left_normed(w):
 def normalize_trace(w, char=0):
     """Exact expansion of tr(w(Z_1,...,Z_n)) over canonical monomials.
 
-    With char=p the coefficients are reduced into GF(p); char=0 keeps
-    them in Z (signs are always computed in Z first).
+    Letters are numbered from 1.  With char=p the coefficients are
+    reduced into GF(p); char=0 keeps them in Z (signs are always
+    computed in Z first).
     """
-    out = _trace_of(_to_left_normed(w))
+    if min(leaves(w)) < 1:
+        raise ValueError("letters are numbered from 1: %r" % (w,))
+    if isinstance(w, int):
+        out = canonical_trace((w,))
+    else:
+        out = TraceExpr()
+        eb = _to_left_normed(w[1])
+        for wa, sa in _to_left_normed(w[0]).items():
+            for wb, sb in eb.items():
+                out = out + sa * sb * _trace_mul(wa, wb)
     if char:
         out = out.reduce_mod(char)
     return out

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -38,9 +40,6 @@ def test_left_normed_shapes():
     assert wd.left_normed((1,)) == 1
     assert wd.left_normed((1, 2)) == (1, 2)
     assert wd.left_normed((1, 2, 3, 4)) == (((1, 2), 3), 4)
-    assert wd.ln_indices((((1, 2), 3), 4)) == (1, 2, 3, 4)
-    assert wd.is_left_normed(((1, 2), 3))
-    assert not wd.is_left_normed((1, (2, 3)))
 
 
 def test_degree_and_multidegree():
@@ -188,3 +187,69 @@ def test_trace_expr_arithmetic():
     assert (a + b) - b == a
     assert (a * b).terms == {(("n", 2), ("t", (1,))): 1}
     assert (a - a).is_zero()
+
+
+def test_trace_expr_equals_scalar():
+    assert wd.TraceExpr() == 0
+    assert wd.te_const(2) == 2
+    assert wd.te_const(Fraction(1, 2)) == Fraction(1, 2)
+    assert wd.te_tr((1,)) != 1
+    assert wd.normalize_trace(1) != 0
+
+
+def test_reduce_mod_needs_a_prime():
+    with pytest.raises(ValueError):
+        wd.normalize_trace(((1, 2), (1, 3)), char=4)
+    with pytest.raises(ValueError):
+        wd.normalize_trace(((1, 2), (1, 3)), char=-3)
+    half = wd.te_const(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        half.reduce_mod(9)
+    with pytest.raises(ZeroDivisionError):
+        half.reduce_mod(2)
+    assert half.reduce_mod(5) == 3
+
+
+def test_letters_are_numbered_from_one():
+    with pytest.raises(ValueError):
+        wd.normalize_trace((0, 0))
+    with pytest.raises(ValueError):
+        wd.normalize_trace(((1, 2), -1))
+    tup = (oc.unit_e(QQ, 1), oc.unit_e(QQ, 2))
+    with pytest.raises(IndexError):
+        wd.te_norm(0).evaluate(tup)
+    with pytest.raises(IndexError):
+        wd.te_norm(3).evaluate(tup)
+    assert wd.te_norm(2).evaluate(tup) == tup[1].norm()
+
+
+def test_trace_mul_matches_product_trace():
+    """tr(L R) by the traced exchange identity against the trace of the
+    evaluated product, for every pair of index tuples over three letters
+    with len(L) + len(R) <= 5."""
+    rng = random.Random(7)
+    tups = (tuple(rand_oct(GF(5), rng) for _ in range(3)),
+            tuple(rand_oct_q(rng) for _ in range(3)))
+    pairs = [(L, R) for n in range(2, 6) for k in range(1, n)
+             for L in product((1, 2, 3), repeat=k)
+             for R in product((1, 2, 3), repeat=n - k)]
+    assert len(pairs) == 1278
+    for tup in tups:
+        cache = {}
+        for L, R in pairs:
+            lhs = wd._trace_mul(L, R).evaluate(tup, cache)
+            prod = wd.evaluate(wd.left_normed(L), tup) \
+                * wd.evaluate(wd.left_normed(R), tup)
+            assert lhs == prod.trace(), (L, R)
+
+
+def test_normalize_trace_frozen_digest():
+    """Every word of degree <= 5 in three letters at char 0, 2 and 3
+    normalizes to exactly the output recorded when the engine expanded
+    every product (same terms, same repr)."""
+    h = hashlib.sha256()
+    for w in labeled_words(5, 3):
+        for char in (0, 2, 3):
+            h.update((repr(wd.normalize_trace(w, char)) + "\n").encode())
+    assert h.hexdigest() == \
+        "b1f17847c52c956e2187540672452dda1b9495b2a16bfeac854b4da374db5ca5"
