@@ -10,16 +10,15 @@ from .octonion import (Octonion, basis, identity, zero, unit_e, unit_u, unit_v,
 from .words import (left_normed, evaluate, normalize_trace, multilinear_sign,
                     TraceExpr, DECOMPOSABLE)
 from .group import (GroupElement, from_sl3, delta1, delta2, hbar, theta,
-                    compose, apply_tuple, is_automorphism, enumerate_group,
+                    apply_tuple, is_automorphism, enumerate_group,
                     group_order_formula)
 from .invariants import (Descriptor, enumerate_set, evaluate_family,
-                         eval_descriptor, q_prime, psi, psi_hat, embed_matrix, matrix_invariants,
-                         generic_octonion, generic_traceless_octonion)
+                         eval_descriptor, q_prime, psi, psi_hat, embed_matrix,
+                         matrix_invariants, generic_octonion)
 from .symbolic import (verify_identity, verify_all_identities,
                        verify_skew_symmetrization, decomposability_check,
                        IDENTITY_NAMES)
-from .orbits import (rank, algebra_closure, gl_right_action, separate, limit,
-                     nonclosedness_witnesses, gram_matrix, orbit_equal_oracle,
-                     subalgebra_fingerprint, rebuild_automorphism)
+from .orbits import (rank, algebra_closure, separate, limit,
+                     nonclosedness_witnesses, gram_matrix, orbit_equal_oracle)
 
 __version__ = "0.1.0"

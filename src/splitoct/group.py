@@ -8,6 +8,8 @@ acting on coordinate columns in the fixed basis order
 tags kept for provenance.
 """
 
+from functools import cache
+
 import numpy as np
 
 from . import linalg
@@ -16,7 +18,7 @@ from .scalars import GF
 
 __all__ = [
     "GroupElement", "identity_element", "from_sl3", "delta1", "delta2",
-    "hbar", "theta", "compose", "apply_tuple", "is_automorphism",
+    "hbar", "theta", "apply_tuple", "is_automorphism",
     "coordinate_action", "enumerate_group", "enumerate_group_array",
     "group_order_formula", "sl3_transvections", "structure_constants",
     "automorphism_mask",
@@ -177,10 +179,6 @@ def theta(ring, lam, t):
     return GroupElement(ring, rows, (("theta", lam, repr(t)),))
 
 
-def compose(g, h):
-    return g.compose(h)
-
-
 def apply_tuple(g, tup):
     return tuple(g.apply(a) for a in tup)
 
@@ -258,22 +256,18 @@ def _generator_elements(field):
     return gens
 
 
-_enum_cache = {}
-
-
+@cache
 def enumerate_group_array(q):
     """BFS closure of the generators over GF(q), q = 2 only, as a numpy array.
 
     Returns (mats, words) with mats of shape (N, 8, 8) dtype int64 in
     deterministic BFS insertion order; words[k] is the generator-index
-    path that produced mats[k].
+    path that produced mats[k].  The result is computed once per process;
+    a refused q raises and is never cached.
     """
     if q != 2:
         # GF(3) already has 4,245,696 elements: too many to materialize
         raise ValueError("enumeration is restricted to q = 2")
-    cached = _enum_cache.get(q)
-    if cached is not None:
-        return cached
     field = GF(q)
     gens = _generator_elements(field)
     gen_mats = [np.array([[x.r for x in row] for row in g.rows], dtype=np.int64)
@@ -296,9 +290,7 @@ def enumerate_group_array(q):
                     words.append(words[idx] + (gi,))
                     new_frontier.append(len(mats) - 1)
         frontier = new_frontier
-    out = (np.stack(mats), words)
-    _enum_cache[q] = out
-    return out
+    return np.stack(mats), words
 
 
 def enumerate_group(q):

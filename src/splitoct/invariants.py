@@ -21,7 +21,7 @@ __all__ = [
     "q_prime", "q_prime_combination", "psi", "psi_hat", "embed_matrix",
     "MatrixDescriptor", "matrix_invariants", "eval_matrix_descriptor",
     "generic_matrix", "mat2_mul", "mat2_trace", "mat2_det",
-    "generic_octonion", "generic_traceless_octonion",
+    "generic_octonion",
 ]
 
 
@@ -141,12 +141,6 @@ def generic_octonion(ring, i):
     v = ring.var
     return oc.Octonion(ring, v(i, 1), (v(i, 2), v(i, 3), v(i, 4)),
                        (v(i, 5), v(i, 6), v(i, 7)), v(i, 8))
-
-
-def generic_traceless_octonion(ring, i):
-    v = ring.var
-    return oc.Octonion(ring, v(i, 1), (v(i, 2), v(i, 3), v(i, 4)),
-                       (v(i, 5), v(i, 6), v(i, 7)), -v(i, 1))
 
 
 def descriptor_polynomial(desc, ring):
@@ -276,11 +270,6 @@ class MatrixDescriptor:
     @property
     def degree(self):
         return 2 if self.kind == "det" else len(self.indices)
-
-    @property
-    def in_odd_char_generating_set(self):
-        # traces of length > 3 are redundant generators unless char = 2
-        return self.kind == "det" or len(self.indices) <= 3
 
     def name(self):
         if self.kind == "det":

@@ -4,7 +4,7 @@ Matrices are lists of row lists.  Pivoting is always "first nonzero in
 column order", so every routine is deterministic.
 """
 
-__all__ = ["echelon", "rank", "inverse", "det", "solve", "in_span", "matmul", "matvec"]
+__all__ = ["echelon", "rank", "inverse", "solve", "in_span", "matmul", "matvec"]
 
 
 def echelon(rows, field):
@@ -42,31 +42,6 @@ def rank(rows, field):
         return 0
     _, pivots = echelon(rows, field)
     return len(pivots)
-
-
-def det(rows, field):
-    m = [list(r) for r in rows]
-    n = len(m)
-    zero = field.zero
-    d = field.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c] != zero:
-                pr = i
-                break
-        if pr is None:
-            return zero
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d = d * m[c][c]
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c] != zero:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return d
 
 
 def inverse(rows, field):

@@ -99,9 +99,6 @@ class Octonion:
     def norm(self):
         return self.alpha * self.beta - dot3(self.u, self.v)
 
-    def is_traceless(self):
-        return self.trace() == self.ring.zero
-
     def is_zero(self):
         z = self.ring.zero
         return (self.alpha == z and self.beta == z

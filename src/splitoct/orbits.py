@@ -1,7 +1,6 @@
-"""Orbit-level tooling: ranks, subalgebra closure, the right GL_n
-action, separation testing, diagonal one-parameter limits, Gram
-matrices, subalgebra fingerprints, and brute-force orbit equality over
-GF(2) via the enumerated automorphism group.
+"""Orbit-level tooling: ranks, subalgebra closure, separation testing,
+diagonal one-parameter limits, Gram matrices, and brute-force orbit
+equality over GF(2) via the enumerated automorphism group.
 """
 
 import numpy as np
@@ -13,10 +12,9 @@ from .invariants import evaluate_family
 from .scalars import GF
 
 __all__ = [
-    "rank", "algebra_closure", "gl_right_action", "separate",
-    "SeparationReport", "limit", "LimitResult", "theta_curve",
-    "nonclosedness_witnesses", "gram_matrix", "orbit_equal_oracle",
-    "encode_tuple_gf2", "subalgebra_fingerprint", "rebuild_automorphism",
+    "rank", "algebra_closure", "separate", "SeparationReport", "limit",
+    "LimitResult", "theta_curve", "nonclosedness_witnesses", "gram_matrix",
+    "orbit_equal_oracle",
 ]
 
 
@@ -57,23 +55,6 @@ def algebra_closure(tup):
         if len(new_basis) == len(basis):
             return [oc.from_basis_coords(ring, row) for row in new_basis]
         basis = new_basis
-
-
-def gl_right_action(tup, a_matrix):
-    """(tuple . A)_i = sum_k A[k][i] tuple_k; A must be invertible."""
-    field = _field_of(tup)
-    n = len(tup)
-    if len(a_matrix) != n or any(len(r) != n for r in a_matrix):
-        raise ValueError("matrix shape must match the tuple length")
-    if linalg.rank(a_matrix, field) != n:
-        raise ValueError("matrix is singular")
-    out = []
-    for i in range(n):
-        acc = oc.zero(tup[0].ring)
-        for k in range(n):
-            acc = acc + tup[k].scale(a_matrix[k][i])
-        out.append(acc)
-    return tuple(out)
 
 
 class SeparationReport:
@@ -223,18 +204,6 @@ def gram_matrix(tup):
 # GF(2) brute force
 
 
-def encode_tuple_gf2(tup):
-    """8 bits per octonion; bit j-1 is the z-coordinate z_j."""
-    out = []
-    for a in tup:
-        byte = 0
-        for k, c in enumerate(a.coords()):
-            if c != a.ring.zero:
-                byte |= 1 << k
-        out.append(byte)
-    return tuple(out)
-
-
 def orbit_equal_oracle(a_tup, b_tup):
     """Scan the enumerated automorphism group over GF(2) for an element
     mapping one tuple onto the other.  Returns (found, witness)."""
@@ -256,74 +225,3 @@ def orbit_equal_oracle(a_tup, b_tup):
     idx = int(np.argmax(hits))
     rows = [[field(int(x)) for x in row] for row in mats[idx]]
     return (True, gp.GroupElement(field, rows, (("enumerated", idx),)))
-
-
-# ---------------------------------------------------------------------------
-# Subalgebra fingerprints
-
-
-class SubalgebraFingerprint:
-    __slots__ = ("dimension", "has_identity", "traces", "norms", "zero_pattern")
-
-    def __init__(self, dimension, has_identity, traces, norms, zero_pattern):
-        self.dimension = dimension
-        self.has_identity = has_identity
-        self.traces = traces
-        self.norms = norms
-        self.zero_pattern = zero_pattern
-
-    def as_tuple(self):
-        return (self.dimension, self.has_identity, self.traces, self.norms,
-                self.zero_pattern)
-
-    def __eq__(self, other):
-        if not isinstance(other, SubalgebraFingerprint):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __repr__(self):
-        return "SubalgebraFingerprint%r" % (self.as_tuple(),)
-
-
-def subalgebra_fingerprint(basis_tup):
-    """Invariant data of a multiplicatively closed basis presentation.
-
-    Equal for presentations related by an automorphism (a necessary
-    condition for equivalence, not sufficient).  Raises when the span is
-    not closed under multiplication.
-    """
-    field = _field_of(basis_tup)
-    rows = [list(a.basis_coords()) for a in basis_tup]
-    if linalg.rank(rows, field) != len(basis_tup):
-        raise ValueError("basis members are linearly dependent")
-    for a in basis_tup:
-        for b in basis_tup:
-            if linalg.in_span(rows, list((a * b).basis_coords()), field) is None:
-                raise ValueError("span is not closed under multiplication")
-    ident = linalg.in_span(rows, list(oc.identity(basis_tup[0].ring).basis_coords()),
-                           field) is not None
-    traces = tuple(a.trace() for a in basis_tup)
-    norms = tuple(a.norm() for a in basis_tup)
-    zero_pattern = tuple(tuple((a * b).is_zero() for b in basis_tup)
-                         for a in basis_tup)
-    return SubalgebraFingerprint(len(basis_tup), ident, traces, norms,
-                                 zero_pattern)
-
-
-def rebuild_automorphism(a_tup, b_tup):
-    """The linear map sending a_i to b_i, for 8-member spanning tuples.
-
-    This is the structure-constant matching reconstruction: when both
-    tuples span the algebra and share all pairwise products' coordinates
-    relative to themselves, the map is an automorphism.
-    """
-    field = _field_of(a_tup)
-    if len(a_tup) != 8 or len(b_tup) != 8:
-        raise ValueError("need tuples of length 8")
-    acols = [[a.basis_coords()[r] for a in a_tup] for r in range(8)]
-    bcols = [[b.basis_coords()[r] for b in b_tup] for r in range(8)]
-    ainv = linalg.inverse(acols, field)
-    if ainv is None:
-        raise ValueError("first tuple does not span the algebra")
-    return gp.GroupElement(a_tup[0].ring, linalg.matmul(bcols, ainv),
-                           (("rebuilt",),))

@@ -198,9 +198,6 @@ class PrimeField:
     def inv(self, x):
         return self(x).inverse()
 
-    def elements(self):
-        return [self.elem(r) for r in range(self.p)]
-
     def __repr__(self):
         return "GF(%d)" % self.p
 
@@ -386,13 +383,11 @@ class Polynomial:
     def variables(self):
         return sorted({v for m in self.terms for v in m})
 
-    def multidegree(self, n=None):
+    def multidegree(self, n):
         """Per-slot degree vector (degree in the block z[i,.] for each i).
 
         Raises ValueError unless the polynomial is multihomogeneous.
         """
-        if n is None:
-            n = max((v[0] for m in self.terms for v in m), default=0)
         mdeg = None
         for m in self.terms:
             d = [0] * n

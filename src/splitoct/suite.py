@@ -5,7 +5,7 @@ its value from scratch and compares against the frozen expectation.
 """
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 from . import group as gp
 from . import invariants as inv
@@ -16,7 +16,7 @@ from . import symbolic as sy
 from . import words as wd
 from .scalars import GF, QQ, PolynomialRing
 
-__all__ = ["run_all", "CHECKS"]
+__all__ = ["run_all", "CHECKS", "low_dimensional_bases"]
 
 
 def _sample_field_element(field, rng):
@@ -83,9 +83,10 @@ def check_signed_permutation_image():
                     signs = (s0, s1, s2)
                     m = [[signs[r] if perm[r] == c else zero for c in range(3)]
                          for r in range(3)]
-                    if linalg.det(m, QQ) != one:
+                    try:
+                        g = gp.from_sl3(QQ, m)
+                    except ValueError:  # determinant -1
                         continue
-                    g = gp.from_sl3(QQ, m)
                     if gp.apply_tuple(g, src) == target:
                         return True
     return False
@@ -263,10 +264,19 @@ def check_matrix_bridge():
 
 
 def check_matrix_generator_flags():
-    descs = inv.matrix_invariants(4, 4)
-    return all(d.in_odd_char_generating_set == (d.kind == "det"
-                                                or len(d.indices) <= 3)
-               for d in descs)
+    # tr(1..k) of 2x2 matrices against products of the lower-degree
+    # invariants: tr(1,2,3) is needed in every characteristic, tr(1,2,3,4)
+    # only in characteristic 2
+    for field in (QQ, GF(2), GF(3)):
+        ring = PolynomialRing(field)
+        for k, decomposable in ((3, False), (4, field.char != 2)):
+            target = inv.matrix_descriptor_polynomial(
+                inv.MatrixDescriptor("tr", range(1, k + 1)), ring)
+            gens = [(d.name(), inv.matrix_descriptor_polynomial(d, ring))
+                    for d in inv.matrix_invariants(k, k - 1)]
+            if sy.decomposability_check(target, gens, field)[0] != decomposable:
+                return False
+    return True
 
 
 def check_embedding():
@@ -320,13 +330,39 @@ def check_oracle_witness():
     return not found2
 
 
+def low_dimensional_bases(field):
+    """The twelve basis tuples of low-dimensional subalgebras, by name,
+    in order of dimension."""
+    e1, e2 = oc.unit_e(field, 1), oc.unit_e(field, 2)
+    u1 = oc.unit_u(field, 1)
+    v1, v2, v3 = (oc.unit_v(field, i) for i in (1, 2, 3))
+    one = oc.identity(field)
+    return {"(1)": (one,), "(u1)": (u1,), "(e1)": (e1,),
+            "(1,u1)": (one, u1), "(u1,v2)": (u1, v2), "(e1,u1)": (e1, u1),
+            "(e1,v1)": (e1, v1), "(e1,e2)": (e1, e2),
+            "(1,u1,v2)": (one, u1, v2), "(e1,e2,u1)": (e1, e2, u1),
+            "(e1,u1,v2)": (e1, u1, v2), "(u1,v2,v3)": (u1, v2, v3)}
+
+
 def check_closed_class_table():
-    # of the nine low-dimensional subalgebra bases, exactly those absent
-    # from the rank-dropping limit table are the closed ones
+    # of the twelve low-dimensional subalgebra bases over GF(2), those with
+    # a rank-dropping diagonal limit are exactly the nine of the limit
+    # table; a limit depends only on the sign pattern of lam, so the
+    # exponents -2..2 reach every one
     field = GF(2)
-    names = {name for name, *_rest in ob.nonclosedness_witnesses(field)}
-    return names == {"(u1)", "(1,u1)", "(u1,v2)", "(e1,u1)", "(e1,v1)",
-                     "(1,u1,v2)", "(e1,e2,u1)", "(e1,u1,v2)", "(u1,v2,v3)"}
+    bases = low_dimensional_bases(field)
+    lams = [lam for lam in product(range(-2, 3), repeat=3) if sum(lam) == 0]
+    dropping = set()
+    for name, tup in bases.items():
+        before = ob.rank(tup)
+        for lam in lams:
+            res = ob.limit(lam, tup)
+            if res.exists and ob.rank(res.value) < before:
+                dropping.add(name)
+    table = {name: tup for name, tup, *_rest in ob.nonclosedness_witnesses(field)}
+    return (dropping == set(table)
+            and all(bases[name] == tup for name, tup in table.items())
+            and set(bases) - dropping == {"(1)", "(e1)", "(e1,e2)"})
 
 
 def check_eval_row_value():

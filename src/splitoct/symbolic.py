@@ -6,15 +6,13 @@ decomposability checker over exact fields.
 
 from . import linalg
 from . import octonion as oc
-from .invariants import (generic_octonion, generic_traceless_octonion,
-                         q_prime, q_prime_combination)
+from .invariants import generic_octonion, q_prime, q_prime_combination
 from .scalars import QQ, PolynomialRing, coefficients_in_z_half
 
 __all__ = [
     "IDENTITY_NAMES", "verify_identity", "verify_all_identities",
     "verify_skew_symmetrization", "skew_symmetrized_trace_polynomial",
     "decomposability_check", "CheckResult",
-    "generic_octonion", "generic_traceless_octonion",
 ]
 
 

@@ -27,8 +27,7 @@ from functools import cache
 from .scalars import GF, add_terms, mul_terms
 
 __all__ = [
-    "degree", "leaves", "multidegree", "is_multilinear",
-    "left_normed", "evaluate",
+    "degree", "leaves", "left_normed", "evaluate",
     "TraceExpr", "te_const", "te_tr", "te_norm",
     "normalize_trace", "multilinear_sign", "Decomposable", "DECOMPOSABLE",
     "all_shapes", "canonical_trace",
@@ -47,18 +46,6 @@ def leaves(w):
     if isinstance(w, int):
         return (w,)
     return leaves(w[0]) + leaves(w[1])
-
-
-def multidegree(w, n):
-    h = [0] * n
-    for i in leaves(w):
-        h[i - 1] += 1
-    return tuple(h)
-
-
-def is_multilinear(w):
-    ls = leaves(w)
-    return len(set(ls)) == len(ls)
 
 
 def left_normed(indices):

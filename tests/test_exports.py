@@ -1,7 +1,19 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import splitoct
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# exports that only the tests call, each with the reason it stays
+TEST_ONLY_EXPORTS = {
+    "group.enumerate_group": "exact group elements for the test fixtures",
+    "group.automorphism_mask": "the vectorized check of the GF(2) enumeration",
+    "octonion.q_form": "the bilinear form of acceptance criterion 5",
+    "orbits.theta_curve": "the second path that checks orbits.limit",
+}
 
 
 def test_all_exports_resolve():
@@ -11,3 +23,48 @@ def test_all_exports_resolve():
         mod = importlib.import_module(name)
         for attr in getattr(mod, "__all__", ()):
             assert hasattr(mod, attr), (name, attr)
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _uses(path):
+    """(identifier, top-level statement) for every name, attribute and
+    string constant of a file, outside imports and __all__."""
+    out = []
+    for stmt in ast.parse(path.read_text()).body:
+        if (isinstance(stmt, (ast.Import, ast.ImportFrom))
+                or "__all__" in _defined_names(stmt)):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.append((node.id, stmt))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, stmt))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.append((node.value, stmt))
+    return out
+
+
+def test_every_export_is_used_by_the_library_or_the_benchmark():
+    # a name in __all__ must be referenced in the package or the benchmark
+    # outside its own definition; re-exports in __init__ do not count
+    src = sorted((ROOT / "src" / "splitoct").glob("*.py"))
+    uses = {path: _uses(path)
+            for path in src + sorted((ROOT / "bench").glob("*.py"))}
+    unused = []
+    for path in src:
+        if path.stem == "__init__":
+            continue
+        for name in importlib.import_module("splitoct." + path.stem).__all__:
+            if not any(used == name
+                       and not (where == path and name in _defined_names(stmt))
+                       for where, found in uses.items()
+                       for used, stmt in found):
+                unused.append("%s.%s" % (path.stem, name))
+    assert sorted(unused) == sorted(TEST_ONLY_EXPORTS)

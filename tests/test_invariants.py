@@ -271,12 +271,3 @@ def test_matrix_invariants_gl2_invariance():
             assert inv.eval_matrix_descriptor(desc, mats) == \
                 inv.eval_matrix_descriptor(desc, conj)
         checked += 1
-
-
-def test_matrix_generator_metadata_flag():
-    descs = inv.matrix_invariants(5, 5)
-    for d in descs:
-        expected = d.kind == "det" or len(d.indices) <= 3
-        assert d.in_odd_char_generating_set == expected
-    long_trace = [d for d in descs if d.kind == "tr" and len(d.indices) == 4]
-    assert long_trace and not long_trace[0].in_odd_char_generating_set

@@ -19,11 +19,6 @@ def test_trace_norm_of_e1():
     assert e1.norm() == 0
 
 
-def test_traceless_predicate():
-    assert oc.identity(GF(2)).is_traceless()
-    assert not oc.unit_e(QQ, 1).is_traceless()
-
-
 def test_identity_acts_trivially():
     one = oc.identity(QQ)
     for b in oc.basis(QQ):

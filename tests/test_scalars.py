@@ -14,7 +14,7 @@ from splitoct.scalars import (GF, QQ, PolynomialRing, coefficients_in_z_half,
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_field_axioms_exhaustive(p):
     field = GF(p)
-    els = field.elements()
+    els = [field(r) for r in range(p)]
     for a, b, c in product(els, repeat=3):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)

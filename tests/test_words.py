@@ -45,9 +45,6 @@ def test_left_normed_shapes():
 def test_degree_and_multidegree():
     w = ((1, 2), (1, 3))
     assert wd.degree(w) == 4
-    assert wd.multidegree(w, 3) == (2, 1, 1)
-    assert not wd.is_multilinear(w)
-    assert wd.is_multilinear((1, (2, 3)))
 
 
 def test_evaluate_leaf_and_errors():
