@@ -14,7 +14,7 @@ from .group import (GroupElement, from_sl3, delta1, delta2, hbar, theta,
                     group_order_formula)
 from .invariants import (Descriptor, enumerate_set, evaluate_family,
                          eval_descriptor, q_prime, psi, psi_hat, embed_matrix,
-                         matrix_invariants, generic_octonion)
+                         generic_octonion)
 from .symbolic import (verify_identity, verify_all_identities,
                        verify_skew_symmetrization, decomposability_check,
                        IDENTITY_NAMES)

@@ -205,7 +205,8 @@ def _build_parser():
     p = sub.add_parser("limit", help="diagonal one-parameter limit of a tuple file")
     p.add_argument("file")
     p.add_argument("--lambda", dest="lam", required=True,
-                   help="three comma-separated integers summing to zero")
+                   help="three comma-separated integers summing to zero; "
+                   "write --lambda=-1,1,0 when the first is negative")
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("verify", help="run the symbolic identity suite")

@@ -4,8 +4,7 @@ enumeration of the full automorphism group over GF(2).
 
 A group element is stored as a dense 8x8 matrix over its scalar ring,
 acting on coordinate columns in the fixed basis order
-(e1, e2, u1, u2, u3, v1, v2, v3), together with a word of generator
-tags kept for provenance.
+(e1, e2, u1, u2, u3, v1, v2, v3).
 """
 
 from functools import cache
@@ -26,12 +25,11 @@ __all__ = [
 
 
 class GroupElement:
-    __slots__ = ("ring", "rows", "word")
+    __slots__ = ("ring", "rows")
 
-    def __init__(self, ring, rows, word=()):
+    def __init__(self, ring, rows):
         self.ring = ring
         self.rows = tuple(tuple(r) for r in rows)
-        self.word = tuple(word)
 
     def apply(self, a):
         if not isinstance(a, oc.Octonion):
@@ -48,8 +46,7 @@ class GroupElement:
         """self * other, acting as: apply other first, then self."""
         if other.ring is not self.ring:
             raise ValueError("group elements over different rings")
-        return GroupElement(self.ring, linalg.matmul(self.rows, other.rows),
-                            self.word + other.word)
+        return GroupElement(self.ring, linalg.matmul(self.rows, other.rows))
 
     def inverse(self):
         if not self.ring.is_field:
@@ -57,7 +54,7 @@ class GroupElement:
         inv = linalg.inverse(self.rows, self.ring)
         if inv is None:
             raise ValueError("matrix is singular")
-        return GroupElement(self.ring, inv, (("inv", self.word),))
+        return GroupElement(self.ring, inv)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -65,22 +62,21 @@ class GroupElement:
         return self.ring is other.ring and self.rows == other.rows
 
     def __repr__(self):
-        return "GroupElement(%s)" % (self.word or "matrix",)
+        return "GroupElement(%r)" % (self.rows,)
 
 
 def identity_element(ring):
     z, o = ring.zero, ring.one
     rows = [[o if i == j else z for j in range(8)] for i in range(8)]
-    return GroupElement(ring, rows, ())
+    return GroupElement(ring, rows)
 
 
 def _columns_to_rows(cols):
     return [tuple(col[r] for col in cols) for r in range(8)]
 
 
-def _from_images(ring, images, word):
-    return GroupElement(ring, _columns_to_rows([a.basis_coords() for a in images]),
-                        word)
+def _from_images(ring, images):
+    return GroupElement(ring, _columns_to_rows([a.basis_coords() for a in images]))
 
 
 def from_sl3(ring, g):
@@ -112,7 +108,7 @@ def from_sl3(ring, g):
         # row i of g^(-T) is column i of the inverse (= adjugate here)
         col = (adj[0][i], adj[1][i], adj[2][i])
         images.append(oc.Octonion(ring, z, (z, z, z), col, z))
-    return _from_images(ring, images, (("sl3", tuple(tuple(r) for r in g)),))
+    return _from_images(ring, images)
 
 
 def _delta1_apply(ring, uvec, a):
@@ -140,13 +136,13 @@ def _delta2_apply(ring, vvec, a):
 def delta1(ring, uvec):
     uvec = tuple(uvec)
     images = [_delta1_apply(ring, uvec, b) for b in oc.basis(ring)]
-    return _from_images(ring, images, (("delta1", uvec),))
+    return _from_images(ring, images)
 
 
 def delta2(ring, vvec):
     vvec = tuple(vvec)
     images = [_delta2_apply(ring, vvec, b) for b in oc.basis(ring)]
-    return _from_images(ring, images, (("delta2", vvec),))
+    return _from_images(ring, images)
 
 
 def hbar(ring):
@@ -154,7 +150,7 @@ def hbar(ring):
     images = [oc.Octonion(ring, a.beta, tuple(-x for x in a.v),
                           tuple(-x for x in a.u), a.alpha)
               for a in oc.basis(ring)]
-    return _from_images(ring, images, (("hbar",),))
+    return _from_images(ring, images)
 
 
 def theta(ring, lam, t):
@@ -176,7 +172,7 @@ def theta(ring, lam, t):
     z = ring.zero
     diag = [ring.one, ring.one] + [power(l) for l in lam] + [power(-l) for l in lam]
     rows = [[diag[i] if i == j else z for j in range(8)] for i in range(8)]
-    return GroupElement(ring, rows, (("theta", lam, repr(t)),))
+    return GroupElement(ring, rows)
 
 
 def apply_tuple(g, tup):
@@ -295,15 +291,10 @@ def enumerate_group_array(q):
 
 def enumerate_group(q):
     """All automorphisms over GF(q) as GroupElements, in BFS order."""
-    mats, words = enumerate_group_array(q)
+    mats, _words = enumerate_group_array(q)
     field = GF(q)
-    gens = _generator_elements(field)
-    out = []
-    for m, w in zip(mats, words):
-        rows = [[field(int(x)) for x in row] for row in m]
-        tags = tuple(gens[gi].word[0] for gi in w)
-        out.append(GroupElement(field, rows, tags))
-    return out
+    return [GroupElement(field, [[field(int(x)) for x in row] for row in m])
+            for m in mats]
 
 
 def structure_constants():

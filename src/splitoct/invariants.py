@@ -1,10 +1,11 @@
 """Invariant descriptor sets, their evaluation, the skew symmetrization
 of the degree-4 trace, and the bridge to 2x2 matrix invariants.
 
-A descriptor is either n(i) or tr(i1,...,ik) with strictly increasing
-indices; the trace is always taken of the left-normed product.  The
-matrix side mirrors this with det and traces of associative products
-of generic 2x2 matrices.
+A descriptor (words.Descriptor) is either n(i) or tr(i1,...,ik) with
+strictly increasing indices; the trace is always taken of the
+left-normed product.  The matrix side uses the same descriptors, with
+n(i) read as det and traces of associative products of generic 2x2
+matrices.
 """
 
 from fractions import Fraction
@@ -14,50 +15,16 @@ from math import comb
 from . import octonion as oc
 from . import words as wd
 from .scalars import Polynomial
+from .words import Descriptor
 
 __all__ = [
     "Descriptor", "enumerate_set", "evaluate_family", "eval_descriptor",
     "descriptor_polynomial", "MAX_FAMILY_SIZE",
     "q_prime", "q_prime_combination", "psi", "psi_hat", "embed_matrix",
-    "MatrixDescriptor", "matrix_invariants", "eval_matrix_descriptor",
+    "eval_matrix_descriptor",
     "generic_matrix", "mat2_mul", "mat2_trace", "mat2_det",
     "generic_octonion",
 ]
-
-
-class Descriptor:
-    """n(i) or tr(i1,...,ik), the members of the invariant families."""
-
-    __slots__ = ("kind", "indices")
-
-    def __init__(self, kind, indices):
-        if kind not in ("n", "tr"):
-            raise ValueError("kind must be 'n' or 'tr'")
-        indices = tuple(indices)
-        if kind == "tr" and any(a >= b for a, b in zip(indices, indices[1:])):
-            raise ValueError("trace indices must strictly increase")
-        self.kind = kind
-        self.indices = indices
-
-    @property
-    def degree(self):
-        return 2 if self.kind == "n" else len(self.indices)
-
-    def name(self):
-        if self.kind == "n":
-            return "n(%d)" % self.indices[0]
-        return "tr(%s)" % ",".join(map(str, self.indices))
-
-    def __eq__(self, other):
-        if not isinstance(other, Descriptor):
-            return NotImplemented
-        return self.kind == other.kind and self.indices == other.indices
-
-    def __hash__(self):
-        return hash((self.kind, self.indices))
-
-    def __repr__(self):
-        return self.name()
 
 
 # largest family enumerate_set builds; n <= 17 fits at d = 8
@@ -256,55 +223,10 @@ def generic_matrix(ring, i):
     return ((v(i, 1), v(i, 2)), (v(i, 5), v(i, 8)))
 
 
-class MatrixDescriptor:
-    """det(i) or tr(i1 ... ik) on the 2x2 matrix side."""
-
-    __slots__ = ("kind", "indices")
-
-    def __init__(self, kind, indices):
-        if kind not in ("det", "tr"):
-            raise ValueError("kind must be 'det' or 'tr'")
-        self.kind = kind
-        self.indices = tuple(indices)
-
-    @property
-    def degree(self):
-        return 2 if self.kind == "det" else len(self.indices)
-
-    def name(self):
-        if self.kind == "det":
-            return "det(%d)" % self.indices[0]
-        return "tr(%s)" % ",".join(map(str, self.indices))
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixDescriptor):
-            return NotImplemented
-        return self.kind == other.kind and self.indices == other.indices
-
-    def __hash__(self):
-        return hash(("m", self.kind, self.indices))
-
-    def __repr__(self):
-        return self.name()
-
-
-def matrix_invariants(n, d=None):
-    """Conjugation invariants of n generic 2x2 matrices: all det(i) and
-    tr of strictly increasing products of length <= d (default n)."""
-    if d is None:
-        d = n
-    out = []
-    for deg in range(1, min(d, n) + 1):
-        if deg == 2:
-            for i in range(1, n + 1):
-                out.append(MatrixDescriptor("det", (i,)))
-        for seq in combinations(range(1, n + 1), deg):
-            out.append(MatrixDescriptor("tr", seq))
-    return out
-
-
 def eval_matrix_descriptor(desc, mats):
-    if desc.kind == "det":
+    """The descriptor on 2x2 matrices, n(i) read as det(M_i): the image
+    under psi of the descriptor on generic octonions."""
+    if desc.kind == "n":
         return mat2_det(mats[desc.indices[0] - 1])
     m = mats[desc.indices[0] - 1]
     for i in desc.indices[1:]:

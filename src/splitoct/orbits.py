@@ -224,4 +224,4 @@ def orbit_equal_oracle(a_tup, b_tup):
         return (False, None)
     idx = int(np.argmax(hits))
     rows = [[field(int(x)) for x in row] for row in mats[idx]]
-    return (True, gp.GroupElement(field, rows, (("enumerated", idx),)))
+    return (True, gp.GroupElement(field, rows))

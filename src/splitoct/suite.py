@@ -271,9 +271,9 @@ def check_matrix_generator_flags():
         ring = PolynomialRing(field)
         for k, decomposable in ((3, False), (4, field.char != 2)):
             target = inv.matrix_descriptor_polynomial(
-                inv.MatrixDescriptor("tr", range(1, k + 1)), ring)
+                inv.Descriptor("tr", range(1, k + 1)), ring)
             gens = [(d.name(), inv.matrix_descriptor_polynomial(d, ring))
-                    for d in inv.matrix_invariants(k, k - 1)]
+                    for d in inv.enumerate_set("S", k, k - 1)]
             if sy.decomposability_check(target, gens, field)[0] != decomposable:
                 return False
     return True

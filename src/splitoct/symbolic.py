@@ -4,6 +4,8 @@ form of the skew symmetrized degree-4 trace, and a linear-algebra
 decomposability checker over exact fields.
 """
 
+from functools import cache
+
 from . import linalg
 from . import octonion as oc
 from .invariants import generic_octonion, q_prime, q_prime_combination
@@ -166,30 +168,6 @@ def verify_skew_symmetrization():
 # Decomposability
 
 
-def _products_with_multidegree(gens, target_mdeg, _start=0, _memo=None):
-    """All multisets of generator indices whose multidegrees sum to the
-    target.  gens: list of (label, polynomial, mdeg)."""
-    if _memo is None:
-        _memo = {}
-    key = (_start, target_mdeg)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    out = []
-    if all(t == 0 for t in target_mdeg):
-        out.append(())
-    else:
-        for k in range(_start, len(gens)):
-            md = gens[k][2]
-            if any(m > t for m, t in zip(md, target_mdeg)):
-                continue
-            rest = tuple(t - m for t, m in zip(target_mdeg, md))
-            for tail in _products_with_multidegree(gens, rest, k, _memo):
-                out.append((k,) + tail)
-    _memo[key] = out
-    return out
-
-
 def decomposability_check(target, generators, field=QQ):
     """Is the target polynomial a linear combination of products of the
     generator polynomials, within its multidegree component?
@@ -213,7 +191,23 @@ def decomposability_check(target, generators, field=QQ):
         except ValueError:
             raise ValueError("generator %r is not multihomogeneous" % (label,))
         gens.append((label, g, gm))
-    combos = _products_with_multidegree(gens, tmdeg)
+
+    @cache
+    def products_with_multidegree(start, mdeg):
+        """All multisets of generator indices >= start whose multidegrees
+        sum to mdeg, as sorted index tuples."""
+        if not any(mdeg):
+            return [()]
+        out = []
+        for k in range(start, len(gens)):
+            md = gens[k][2]
+            if any(m > t for m, t in zip(md, mdeg)):
+                continue
+            rest = tuple(t - m for t, m in zip(mdeg, md))
+            out.extend((k,) + tail for tail in products_with_multidegree(k, rest))
+        return out
+
+    combos = products_with_multidegree(0, tmdeg)
     products = []
     for combo in combos:
         p = target.ring.one

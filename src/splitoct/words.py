@@ -8,6 +8,12 @@ increasing indices) and n(i).  Unlike the coarse equivalence modulo
 decomposables, every lower-order correction term is kept, so the output
 is an identity that can be checked by evaluation over any ring.
 
+The canonical invariants are the Descriptor pairs ("tr", (i1,...,ik))
+and ("n", (i,)), the members of the invariant families and, read with
+det for n, of the 2x2 matrix invariants.  TraceExpr factors are the same
+pairs as plain tuples: each equals and hash-equals its Descriptor, and
+plain tuples keep CPython's fast path for sorting monomials.
+
 The rewriting uses three exact consequences of the quadratic relation
 and linearized alternativity:
 
@@ -23,11 +29,12 @@ each with its full correction terms.
 
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 
 from .scalars import GF, add_terms, mul_terms
 
 __all__ = [
-    "degree", "leaves", "left_normed", "evaluate",
+    "Descriptor", "degree", "leaves", "left_normed", "evaluate",
     "TraceExpr", "te_const", "te_tr", "te_norm",
     "normalize_trace", "multilinear_sign", "Decomposable", "DECOMPOSABLE",
     "all_shapes", "canonical_trace",
@@ -91,19 +98,50 @@ def evaluate(w, tup, memo=None):
 # Trace expressions
 
 
-def _factor_degree(f):
-    return len(f[1]) if f[0] == "t" else 2
+class Descriptor(tuple):
+    """n(i) or tr(i1,...,ik): the pair (kind, indices), kind "n" or "tr",
+    with one norm index or k >= 1 strictly increasing trace indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, indices):
+        if kind not in ("n", "tr"):
+            raise ValueError("kind must be 'n' or 'tr'")
+        indices = tuple(indices)
+        if not indices or (kind == "n" and len(indices) > 1):
+            raise ValueError("n(i) takes one index, tr at least one")
+        if kind == "tr" and any(a >= b for a, b in zip(indices, indices[1:])):
+            raise ValueError("trace indices must strictly increase")
+        return tuple.__new__(cls, (kind, indices))
+
+    def __getnewargs__(self):  # pickle and copy call __new__ with these
+        return tuple(self)
+
+    kind = property(itemgetter(0))
+    indices = property(itemgetter(1))
+
+    @property
+    def degree(self):
+        return 2 if self.kind == "n" else len(self.indices)
+
+    def name(self):
+        if self.kind == "n":
+            return "n(%d)" % self.indices[0]
+        return "tr(%s)" % ",".join(map(str, self.indices))
+
+    __repr__ = name
 
 
 def _monomial_degree(m):
-    return sum(_factor_degree(f) for f in m)
+    return sum(Descriptor(*f).degree for f in m)
 
 
 class TraceExpr:
     """Exact linear combination of products of tr(i1,...,ik) and n(i).
 
-    Monomials are sorted tuples of factors ('t', (i1,...,ik)) or ('n', i);
-    coefficients are exact integers or Fractions.
+    Monomials are sorted tuples of factors ("tr", (i1,...,ik)) or
+    ("n", (i,)), plain tuples equal to their Descriptor; coefficients are
+    exact integers or Fractions.
     """
 
     __slots__ = ("terms",)
@@ -174,10 +212,11 @@ class TraceExpr:
             for f in m:
                 fv = cache.get(f)
                 if fv is None:
-                    if f[0] == "t":
-                        fv = evaluate(left_normed(f[1]), tup, memo).trace()
+                    kind, idx = f
+                    if kind == "tr":
+                        fv = evaluate(left_normed(idx), tup, memo).trace()
                     else:
-                        fv = evaluate(f[1], tup).norm()
+                        fv = evaluate(idx[0], tup).norm()
                     cache[f] = fv
                 val = val * fv
             acc = acc + val
@@ -189,12 +228,7 @@ class TraceExpr:
         parts = []
         for m in self.monomials_sorted():
             c = self.terms[m]
-            factors = []
-            for f in m:
-                if f[0] == "t":
-                    factors.append("tr(%s)" % ",".join(map(str, f[1])))
-                else:
-                    factors.append("n(%d)" % f[1])
+            factors = [Descriptor(*f).name() for f in m]
             body = "*".join(factors) if factors else "1"
             parts.append("%s*%s" % (c, body) if c != 1 or not factors else body)
         return " + ".join(parts)
@@ -207,11 +241,12 @@ def te_const(c):
 
 
 def te_tr(indices):
-    return TraceExpr({(("t", tuple(indices)),): 1})
+    # validated as a Descriptor, stored as a plain tuple
+    return TraceExpr({(tuple(Descriptor("tr", indices)),): 1})
 
 
 def te_norm(i):
-    return TraceExpr({(("n", i),): 1})
+    return TraceExpr({(tuple(Descriptor("n", (i,))),): 1})
 
 
 _TE_ONE = te_const(1)
@@ -358,5 +393,5 @@ def multilinear_sign(w):
         # convention of the degree-2 rearrangement of the swap identity;
         # the exact expansion still collects to +tr(i,j)
         return ((1 if ls[0] < ls[1] else -1), srt)
-    coeff = normalize_trace(w).terms.get((("t", srt),), 0)
+    coeff = normalize_trace(w).terms.get((("tr", srt),), 0)
     return (int(coeff), srt)

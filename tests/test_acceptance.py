@@ -163,10 +163,10 @@ def test_criterion_7_normalizer_soundness():
             for k in range(1, 5):
                 for J in combinations(range(1, 5), k):
                     val = wd.evaluate(wd.left_normed(J), tup, memo).trace()
-                    cache[("t", J)] = val % p if p else val
+                    cache[("tr", J)] = val % p if p else val
             for i in range(1, 5):
                 val = tup[i - 1].norm()
-                cache[("n", i)] = val % p if p else val
+                cache[("n", (i,))] = val % p if p else val
             for w in words:
                 lhs = wd.evaluate(w, tup, memo).trace()
                 rhs = exprs[w].evaluate(tup, cache)
@@ -195,13 +195,9 @@ def test_criterion_8_matrix_bridge():
         for i in range(1, n + 1):
             assert inv.psi(zs[i - 1].norm()) == inv.mat2_det(ms[i - 1])
         # every matrix generator is hit by the image of an invariant
-        for d in inv.matrix_invariants(n):
-            target = inv.eval_matrix_descriptor(d, ms)
-            if d.kind == "det":
-                source = inv.Descriptor("n", d.indices)
-            else:
-                source = inv.Descriptor("tr", d.indices)
-            assert inv.psi(inv.descriptor_polynomial(source, ring)) == target
+        for d in inv.enumerate_set("S", n, n):
+            assert inv.psi(inv.descriptor_polynomial(d, ring)) == \
+                inv.eval_matrix_descriptor(d, ms)
 
 
 def test_criterion_9_indecomposability():

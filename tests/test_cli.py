@@ -227,6 +227,17 @@ def test_limit_bad_lambda(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_limit_negative_first_exponent(tmp_path, capsys):
+    # argparse reads a separate value that starts with '-' as an option
+    path = write(tmp_path, "u1.oct", "field q\n0 1 0 0 0 0 0 0\n")
+    assert cli.main(["limit", path, "--lambda=-1,1,0"]) == 0
+    assert capsys.readouterr().out.startswith("lambda = (-1,1,0)\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["limit", path, "--lambda", "-1,1,0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_command(capsys):
     assert cli.main(["verify"]) == 0
     assert capsys.readouterr().out == VERIFY_OUT

@@ -16,13 +16,33 @@ TEST_ONLY_EXPORTS = {
 }
 
 
-def test_all_exports_resolve():
+# names exported by two modules as different objects, each with the reason
+DISTINCT_EXPORTS = {
+    "rank": "linalg.rank(rows, field) and orbits.rank(tup) are different functions",
+}
+
+
+def _modules():
     names = ["splitoct"] + ["splitoct." + m.name
                             for m in pkgutil.iter_modules(splitoct.__path__)]
-    for name in names:
-        mod = importlib.import_module(name)
+    return [importlib.import_module(name) for name in names]
+
+
+def test_all_exports_resolve():
+    for mod in _modules():
         for attr in getattr(mod, "__all__", ()):
-            assert hasattr(mod, attr), (name, attr)
+            assert hasattr(mod, attr), (mod.__name__, attr)
+
+
+def test_a_name_exported_twice_is_one_object():
+    # a re-export such as invariants.Descriptor must be words.Descriptor
+    owners = {}
+    for mod in _modules():
+        for attr in getattr(mod, "__all__", ()):
+            owners.setdefault(attr, []).append(getattr(mod, attr))
+    distinct = {attr for attr, objs in owners.items()
+                if any(obj is not objs[0] for obj in objs)}
+    assert distinct == set(DISTINCT_EXPORTS)
 
 
 def _defined_names(stmt):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -57,8 +59,14 @@ def test_enumerate_set_size_limit():
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         inv.Descriptor("tr", (2, 1))
+    for kind, indices in (("det", (1,)), ("n", (1, 2)), ("n", ()), ("tr", ())):
+        with pytest.raises(ValueError):
+            inv.Descriptor(kind, indices)
     with pytest.raises(ValueError):
         inv.enumerate_set("T", 1, 1)
+    d = inv.Descriptor("tr", [1, 3])
+    assert (d.kind, d.indices, d.degree, repr(d)) == ("tr", (1, 3), 2, "tr(1,3)")
+    assert pickle.loads(pickle.dumps(d)) == d and copy.copy(d) == d
 
 
 def test_eval_descriptor_values():
@@ -245,14 +253,24 @@ def test_embedding_unit_and_multiplicativity():
 
 
 def test_matrix_invariants_n2():
-    names = {d.name() for d in inv.matrix_invariants(2)}
-    assert names == {"tr(1)", "tr(2)", "det(1)", "det(2)", "tr(1,2)"}
+    names = {d.name() for d in inv.enumerate_set("S", 2, 2)}
+    assert names == {"tr(1)", "tr(2)", "n(1)", "n(2)", "tr(1,2)"}
+
+
+def test_matrix_descriptors_are_psi_images():
+    # n(i) is read as det(M_i) on the matrix side, for every n
+    ring = PolynomialRing(QQ)
+    for n in (1, 2, 3):
+        ms = [inv.generic_matrix(ring, i) for i in range(1, n + 1)]
+        for d in inv.enumerate_set("S", n, max(n, 2)):
+            assert inv.psi(inv.descriptor_polynomial(d, ring)) == \
+                inv.eval_matrix_descriptor(d, ms), d
 
 
 def test_matrix_invariants_gl2_invariance():
     field = GF(5)
     rng = random.Random(53)
-    descs = inv.matrix_invariants(3)
+    descs = inv.enumerate_set("S", 3, 3)
 
     def rand_mat():
         return ((field(rng.randrange(5)), field(rng.randrange(5))),

@@ -51,10 +51,9 @@ def test_top_trace_not_decomposable():
 
 def test_matrix_pair_trace_not_decomposable():
     ring = PolynomialRing(QQ)
-    target = inv.matrix_descriptor_polynomial(inv.MatrixDescriptor("tr", (1, 2)),
-                                              ring)
+    target = inv.matrix_descriptor_polynomial(inv.Descriptor("tr", (1, 2)), ring)
     gens = [(d.name(), inv.matrix_descriptor_polynomial(d, ring))
-            for d in inv.matrix_invariants(2) if d.degree == 1]
+            for d in inv.enumerate_set("S", 2, 1)]
     ok, _ = sy.decomposability_check(target, gens, QQ)
     assert not ok
 

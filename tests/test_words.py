@@ -103,7 +103,7 @@ def test_multilinear_sign_matches_leading_term():
         if len(set(ls)) != len(ls) or len(ls) < 3:
             continue
         sign, srt = wd.multilinear_sign(w)
-        assert wd.normalize_trace(w).terms.get((("t", srt),)) == sign
+        assert wd.normalize_trace(w).terms.get((("tr", srt),)) == sign
 
 
 def test_part3_sign_is_permutation_parity():
@@ -135,7 +135,7 @@ def test_adjacent_swap_flips_leading_sign():
         s1, srt = wd.multilinear_sign(w1)
         s2, _ = wd.multilinear_sign(w2)
         assert s1 == -s2
-        key = (("t", srt),)
+        key = (("tr", srt),)
         assert wd.normalize_trace(w1).terms[key] == \
             -wd.normalize_trace(w2).terms[key]
 
@@ -182,8 +182,21 @@ def test_trace_expr_arithmetic():
     a = wd.te_tr((1,))
     b = wd.te_norm(2)
     assert (a + b) - b == a
-    assert (a * b).terms == {(("n", 2), ("t", (1,))): 1}
+    assert (a * b).terms == {(("n", (2,)), ("tr", (1,))): 1}
     assert (a - a).is_zero()
+
+
+def test_trace_expr_factors_are_plain_descriptor_pairs():
+    # exact tuples keep CPython's fast path when mul_terms sorts monomials
+    for w in labeled_words(4, 3):
+        for m in wd.normalize_trace(w).terms:
+            assert all(type(f) is tuple for f in m), (w, m)
+    d = wd.Descriptor("tr", (1, 2))
+    assert d == ("tr", (1, 2)) and hash(d) == hash(("tr", (1, 2)))
+    assert wd.te_tr((1, 2)).terms == {(d,): 1}
+    assert wd.te_norm(3).terms == {(wd.Descriptor("n", (3,)),): 1}
+    with pytest.raises(ValueError):
+        wd.te_tr((2, 1))
 
 
 def test_trace_expr_equals_scalar():
