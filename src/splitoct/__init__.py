@@ -6,7 +6,7 @@ a finite-field brute-force oracle.
 
 from .scalars import GF, QQ, PolynomialRing, Polynomial, coefficients_in_z_half
 from .octonion import (Octonion, basis, identity, zero, unit_e, unit_u, unit_v,
-                       from_coords, from_basis_coords, q_form)
+                       from_coords, q_form)
 from .words import (left_normed, evaluate, normalize_trace, multilinear_sign,
                     TraceExpr, DECOMPOSABLE)
 from .group import (GroupElement, from_sl3, delta1, delta2, hbar, theta,

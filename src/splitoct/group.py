@@ -3,8 +3,8 @@ action on octonions and tuples, the automorphism test, and exhaustive
 enumeration of the full automorphism group over GF(2).
 
 A group element is stored as a dense 8x8 matrix over its scalar ring,
-acting on coordinate columns in the fixed basis order
-(e1, e2, u1, u2, u3, v1, v2, v3).
+acting on coords() columns, in z-order (alpha, u1, u2, u3, v1, v2, v3,
+beta): column k holds the image of the k-th basis octonion.
 """
 
 from functools import cache
@@ -17,7 +17,7 @@ from .scalars import GF
 
 __all__ = [
     "GroupElement", "identity_element", "from_sl3", "delta1", "delta2",
-    "hbar", "theta", "apply_tuple", "is_automorphism",
+    "hbar", "weights", "theta", "apply_tuple", "is_automorphism",
     "coordinate_action", "enumerate_group", "enumerate_group_array",
     "group_order_formula", "sl3_transvections", "structure_constants",
     "automorphism_mask",
@@ -36,8 +36,7 @@ class GroupElement:
             raise TypeError("expected an octonion")
         if a.ring is not self.ring:
             raise ValueError("octonion ring does not match group element ring")
-        return oc.from_basis_coords(self.ring,
-                                    linalg.matvec(self.rows, a.basis_coords()))
+        return oc.from_coords(self.ring, linalg.matvec(self.rows, a.coords()))
 
     def __call__(self, a):
         return self.apply(a)
@@ -76,7 +75,7 @@ def _columns_to_rows(cols):
 
 
 def _from_images(ring, images):
-    return GroupElement(ring, _columns_to_rows([a.basis_coords() for a in images]))
+    return GroupElement(ring, _columns_to_rows([a.coords() for a in images]))
 
 
 def from_sl3(ring, g):
@@ -101,13 +100,14 @@ def from_sl3(ring, g):
             g[0][1] * g[2][0] - g[0][0] * g[2][1],
             g[0][0] * g[1][1] - g[0][1] * g[1][0]]]
     z = ring.zero
-    images = [oc.unit_e(ring, 1), oc.unit_e(ring, 2)]
+    images = [oc.unit_e(ring, 1)]
     for i in range(3):
         images.append(oc.Octonion(ring, z, tuple(g[i]), (z, z, z), z))
     for i in range(3):
         # row i of g^(-T) is column i of the inverse (= adjugate here)
         col = (adj[0][i], adj[1][i], adj[2][i])
         images.append(oc.Octonion(ring, z, (z, z, z), col, z))
+    images.append(oc.unit_e(ring, 2))
     return _from_images(ring, images)
 
 
@@ -153,25 +153,24 @@ def hbar(ring):
     return _from_images(ring, images)
 
 
-def theta(ring, lam, t):
-    """Diagonal one-parameter element: u_j -> t^lam_j u_j, v_j -> t^-lam_j v_j."""
+def weights(lam):
+    """The z-order exponents (0, l1, l2, l3, -l1, -l2, -l3, 0) of the
+    diagonal one-parameter subgroup of lam = (l1, l2, l3)."""
     lam = tuple(lam)
-    if sum(lam) != 0:
-        raise ValueError("exponents must sum to zero")
+    if len(lam) != 3 or any(type(l) is not int for l in lam) or sum(lam) != 0:
+        raise ValueError("lambda needs three integers summing to zero")
+    return (0,) + lam + tuple(-l for l in lam) + (0,)
+
+
+def theta(ring, lam, t):
+    """Diagonal one-parameter element: coordinate k scales by
+    t^weights(lam)[k], so u_j -> t^lam_j u_j and v_j -> t^-lam_j v_j."""
+    w = weights(lam)
+    t = ring(t)
     if t == ring.zero:
         raise ValueError("parameter must be invertible")
-
-    def power(k):
-        if k >= 0:
-            out = ring.one
-            for _ in range(k):
-                out = out * t
-            return out
-        return ring.inv(power(-k))
-
     z = ring.zero
-    diag = [ring.one, ring.one] + [power(l) for l in lam] + [power(-l) for l in lam]
-    rows = [[diag[i] if i == j else z for j in range(8)] for i in range(8)]
+    rows = [[t ** w[i] if i == j else z for j in range(8)] for i in range(8)]
     return GroupElement(ring, rows)
 
 
@@ -199,18 +198,15 @@ def coordinate_action(g, f):
     octonion obtained by applying g^{-1} to a generic octonion in slot i.
     """
     n_inv = g.inverse().rows
-    # basis-order index of z-coordinate j (alpha,u1,u2,u3,v1,v2,v3,beta)
-    z_to_basis = (0, 2, 3, 4, 5, 6, 7, 1)
-    basis_to_z = (0, 7, 1, 2, 3, 4, 5, 6)
     ring = f.ring
     assignment = {}
     for (i, j) in f.variables():
-        row = n_inv[z_to_basis[j - 1]]
+        row = n_inv[j - 1]
         acc = ring.zero
         for col in range(8):
             c = row[col]
             if c != g.ring.zero:
-                acc = acc + ring.constant(c) * ring.var(i, basis_to_z[col] + 1)
+                acc = acc + ring.constant(c) * ring.var(i, col + 1)
         assignment[(i, j)] = acc
     return f.substitute(assignment)
 
@@ -256,10 +252,10 @@ def _generator_elements(field):
 def enumerate_group_array(q):
     """BFS closure of the generators over GF(q), q = 2 only, as a numpy array.
 
-    Returns (mats, words) with mats of shape (N, 8, 8) dtype int64 in
-    deterministic BFS insertion order; words[k] is the generator-index
-    path that produced mats[k].  The result is computed once per process;
-    a refused q raises and is never cached.
+    Returns (mats, words) with mats of shape (N, 8, 8) dtype int64, acting
+    on coords() columns, in deterministic BFS insertion order; words[k] is
+    the generator-index path that produced mats[k].  The result is
+    computed once per process; a refused q raises and is never cached.
     """
     if q != 2:
         # GF(3) already has 4,245,696 elements: too many to materialize
@@ -302,7 +298,7 @@ def structure_constants():
     from .scalars import QQ
     b = oc.basis(QQ)
     return np.array(
-        [[[int(x) for x in (b[i] * b[j]).basis_coords()] for j in range(8)]
+        [[[int(x) for x in (b[i] * b[j]).coords()] for j in range(8)]
          for i in range(8)],
         dtype=np.int64)
 

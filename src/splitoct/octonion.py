@@ -1,14 +1,15 @@
 """The split octonion algebra O(A) over any commutative ring A, in the
 Zorn vector-matrix presentation (alpha, u, v, beta) with u, v in A^3.
 
-Basis order is fixed as (e1, e2, u1, u2, u3, v1, v2, v3).  Coordinates
-in the z-numbering run (alpha, u1, u2, u3, v1, v2, v3, beta), matching
-the variables z[i,1..8] of the polynomial ring.
+Coordinates, the basis and the columns of automorphism matrices all run
+in z-order (alpha, u1, u2, u3, v1, v2, v3, beta), matching the variables
+z[i,1..8] of the polynomial ring; the basis is (e1, u1, u2, u3, v1, v2,
+v3, e2).
 """
 
 __all__ = [
     "Octonion", "dot3", "cross3", "basis", "identity", "zero",
-    "unit_e", "unit_u", "unit_v", "from_coords", "from_basis_coords", "q_form",
+    "unit_e", "unit_u", "unit_v", "from_coords", "q_form",
 ]
 
 
@@ -108,10 +109,6 @@ class Octonion:
         """Coordinates in z-order: (alpha, u1, u2, u3, v1, v2, v3, beta)."""
         return (self.alpha,) + self.u + self.v + (self.beta,)
 
-    def basis_coords(self):
-        """Coordinates in basis order (e1, e2, u1, u2, u3, v1, v2, v3)."""
-        return (self.alpha, self.beta) + self.u + self.v
-
     def __eq__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
@@ -166,10 +163,12 @@ def unit_v(ring, i):
 
 
 def basis(ring):
-    """The eight basis octonions in the fixed order."""
-    return (unit_e(ring, 1), unit_e(ring, 2),
+    """The eight basis octonions in z-order: basis(ring)[k].coords() is the
+    k-th unit vector."""
+    return (unit_e(ring, 1),
             unit_u(ring, 1), unit_u(ring, 2), unit_u(ring, 3),
-            unit_v(ring, 1), unit_v(ring, 2), unit_v(ring, 3))
+            unit_v(ring, 1), unit_v(ring, 2), unit_v(ring, 3),
+            unit_e(ring, 2))
 
 
 def from_coords(ring, c):
@@ -179,9 +178,3 @@ def from_coords(ring, c):
         raise ValueError("need 8 coordinates")
     return Octonion(ring, c[0], (c[1], c[2], c[3]), (c[4], c[5], c[6]), c[7])
 
-
-def from_basis_coords(ring, c):
-    c = list(c)
-    if len(c) != 8:
-        raise ValueError("need 8 coordinates")
-    return Octonion(ring, c[0], (c[2], c[3], c[4]), (c[5], c[6], c[7]), c[1])

@@ -13,7 +13,8 @@ from .scalars import GF
 
 __all__ = [
     "rank", "algebra_closure", "separate", "SeparationReport", "limit",
-    "LimitResult", "theta_curve", "nonclosedness_witnesses", "gram_matrix",
+    "LimitResult", "theta_curve", "low_dimensional_bases",
+    "nonclosedness_witnesses", "gram_matrix",
     "orbit_equal_oracle",
 ]
 
@@ -31,7 +32,7 @@ def _field_of(tup):
 def rank(tup):
     """Dimension of the span of the tuple inside the 8-dimensional algebra."""
     field = _field_of(tup)
-    return linalg.rank([list(a.basis_coords()) for a in tup], field)
+    return linalg.rank([list(a.coords()) for a in tup], field)
 
 
 def _echelon_basis(vectors, field):
@@ -44,16 +45,16 @@ def algebra_closure(tup):
     tuple: iterate span + pairwise products to a fixed point."""
     field = _field_of(tup)
     ring = tup[0].ring
-    basis = _echelon_basis([list(a.basis_coords()) for a in tup], field)
+    basis = _echelon_basis([list(a.coords()) for a in tup], field)
     while True:
-        octs = [oc.from_basis_coords(ring, row) for row in basis]
+        octs = [oc.from_coords(ring, row) for row in basis]
         candidates = [list(row) for row in basis]
         for a in octs:
             for b in octs:
-                candidates.append(list((a * b).basis_coords()))
+                candidates.append(list((a * b).coords()))
         new_basis = _echelon_basis(candidates, field)
         if len(new_basis) == len(basis):
-            return [oc.from_basis_coords(ring, row) for row in new_basis]
+            return [oc.from_coords(ring, row) for row in new_basis]
         basis = new_basis
 
 
@@ -93,11 +94,6 @@ def separate(a_tup, b_tup, family="S", d=8):
 # ---------------------------------------------------------------------------
 # One-parameter limits
 
-# z-order coordinate exponents under the diagonal subgroup: e-coordinates
-# are fixed, u_j scales by t^lam_j, v_j by t^-lam_j
-def _coordinate_exponents(lam):
-    return (0, lam[0], lam[1], lam[2], -lam[0], -lam[1], -lam[2], 0)
-
 
 class LimitResult:
     __slots__ = ("exists", "value")
@@ -119,11 +115,8 @@ def limit(lam, tup):
     Exists iff every nonzero coordinate carries a non-negative exponent;
     the limit keeps exponent-zero coordinates and zeroes the positive ones.
     """
-    lam = tuple(lam)
-    if sum(lam) != 0:
-        raise ValueError("exponents must sum to zero")
+    exps = gp.weights(lam)
     ring = tup[0].ring
-    exps = _coordinate_exponents(lam)
     zero = ring.zero
     out = []
     for a in tup:
@@ -145,11 +138,8 @@ def theta_curve(lam, tup, t):
     Negative-exponent coordinates must vanish (checked), so the result is
     polynomial in t and its constant term is the limit.
     """
-    lam = tuple(lam)
-    if sum(lam) != 0:
-        raise ValueError("exponents must sum to zero")
+    exps = gp.weights(lam)
     ring = t.ring if hasattr(t, "ring") else tup[0].ring
-    exps = _coordinate_exponents(lam)
     out = []
     for a in tup:
         coords = []
@@ -166,28 +156,35 @@ def theta_curve(lam, tup, t):
     return tuple(out)
 
 
+def low_dimensional_bases(ring):
+    """The twelve basis tuples of low-dimensional subalgebras, by name,
+    in order of dimension."""
+    e1, e2 = oc.unit_e(ring, 1), oc.unit_e(ring, 2)
+    u1 = oc.unit_u(ring, 1)
+    v1, v2, v3 = (oc.unit_v(ring, i) for i in (1, 2, 3))
+    one = oc.identity(ring)
+    return {"(1)": (one,), "(u1)": (u1,), "(e1)": (e1,),
+            "(1,u1)": (one, u1), "(u1,v2)": (u1, v2), "(e1,u1)": (e1, u1),
+            "(e1,v1)": (e1, v1), "(e1,e2)": (e1, e2),
+            "(1,u1,v2)": (one, u1, v2), "(e1,e2,u1)": (e1, e2, u1),
+            "(e1,u1,v2)": (e1, u1, v2), "(u1,v2,v3)": (u1, v2, v3)}
+
+
 def nonclosedness_witnesses(ring):
-    """The nine basis tuples whose diagonal limits strictly drop rank.
+    """The nine basis tuples of low_dimensional_bases whose diagonal
+    limits strictly drop rank.
 
     Returns records (name, tuple, lam, limit tuple, rank before, after).
     """
-    u1, u2, u3 = (oc.unit_u(ring, i) for i in (1, 2, 3))
-    v1, v2, v3 = (oc.unit_v(ring, i) for i in (1, 2, 3))
-    e1, e2 = oc.unit_e(ring, 1), oc.unit_e(ring, 2)
-    one = oc.identity(ring)
-    cases = [
-        ("(u1)", (u1,), (1, -1, 0)),
-        ("(1,u1)", (one, u1), (1, -1, 0)),
-        ("(u1,v2)", (u1, v2), (1, -1, 0)),
-        ("(e1,u1)", (e1, u1), (1, -1, 0)),
-        ("(e1,v1)", (e1, v1), (-1, 1, 0)),
-        ("(1,u1,v2)", (one, u1, v2), (1, -1, 0)),
-        ("(e1,e2,u1)", (e1, e2, u1), (1, -1, 0)),
-        ("(e1,u1,v2)", (e1, u1, v2), (1, -1, 0)),
-        ("(u1,v2,v3)", (u1, v2, v3), (1, -1, 0)),
-    ]
+    bases = low_dimensional_bases(ring)
+    cases = [("(u1)", (1, -1, 0)), ("(1,u1)", (1, -1, 0)),
+             ("(u1,v2)", (1, -1, 0)), ("(e1,u1)", (1, -1, 0)),
+             ("(e1,v1)", (-1, 1, 0)), ("(1,u1,v2)", (1, -1, 0)),
+             ("(e1,e2,u1)", (1, -1, 0)), ("(e1,u1,v2)", (1, -1, 0)),
+             ("(u1,v2,v3)", (1, -1, 0))]
     out = []
-    for name, tup, lam in cases:
+    for name, lam in cases:
+        tup = bases[name]
         res = limit(lam, tup)
         before = rank(tup)
         after = rank(res.value) if res.exists else None
@@ -214,9 +211,9 @@ def orbit_equal_oracle(a_tup, b_tup):
     if len(a_tup) != len(b_tup):
         raise ValueError("tuples must have equal length")
     mats, _words = gp.enumerate_group_array(2)
-    acols = np.array([[int(x.r) for x in a.basis_coords()] for a in a_tup],
+    acols = np.array([[int(x.r) for x in a.coords()] for a in a_tup],
                      dtype=np.int64).T
-    bcols = np.array([[int(x.r) for x in b.basis_coords()] for b in b_tup],
+    bcols = np.array([[int(x.r) for x in b.coords()] for b in b_tup],
                      dtype=np.int64).T
     images = (mats @ acols) % 2
     hits = np.all(images == bcols, axis=(1, 2))

@@ -335,8 +335,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        if not isinstance(k, int):
+            raise ValueError("exponent must be an integer")
+        if k < 0:
+            return self.inverse() ** -k
         result = self.ring.one
         base = self
         while k:

@@ -98,9 +98,15 @@ def evaluate(w, tup, memo=None):
 # Trace expressions
 
 
+class IndexBelowOne(ValueError, IndexError):
+    """A descriptor index below 1: a refused value, and a letter that
+    names no member of any tuple."""
+
+
 class Descriptor(tuple):
     """n(i) or tr(i1,...,ik): the pair (kind, indices), kind "n" or "tr",
-    with one norm index or k >= 1 strictly increasing trace indices."""
+    with one norm index or k >= 1 strictly increasing trace indices, all
+    at least 1."""
 
     __slots__ = ()
 
@@ -110,6 +116,9 @@ class Descriptor(tuple):
         indices = tuple(indices)
         if not indices or (kind == "n" and len(indices) > 1):
             raise ValueError("n(i) takes one index, tr at least one")
+        if indices[0] < 1:
+            raise IndexBelowOne("descriptor indices are numbered from 1: %r"
+                                % (indices,))
         if kind == "tr" and any(a >= b for a, b in zip(indices, indices[1:])):
             raise ValueError("trace indices must strictly increase")
         return tuple.__new__(cls, (kind, indices))

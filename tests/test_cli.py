@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,3 +280,82 @@ def test_byte_determinism(tmp_path, capsys):
 def test_missing_file(capsys):
     assert cli.main(["eval", "/nonexistent/file.oct"]) == 2
     capsys.readouterr()
+
+
+_DIGEST_FIELDS = ("q", "p=2", "p=5", "p=1000003")
+# z-order positions carrying nonzero entries: everything; alpha, u1, v2,
+# v3, beta; alpha, u2, u3, v1, beta
+_DIGEST_SUPPORTS = (range(8), (0, 1, 5, 6, 7), (0, 2, 3, 4, 7))
+_DIGEST_LAMBDAS = ("1,-1,0", "-1,1,0", "0,0,0", "2,-1,-1", "0,1,-1",
+                   "-2,1,1")
+_DIGEST_BAD_LAMBDAS = ("1,1,0", "1,-1", "1,-1,0,0")
+
+
+def _digest_rows(n, support):
+    """n rows of eight (numerator, denominator) pairs in z-order."""
+    return [[((3 * i + 5 * j + 1) * (i + 2) % 11 - 5 if j in support else 0,
+              1 + j % 3) for j in range(8)] for i in range(n)]
+
+
+def _digest_text(spec, rows):
+    def token(num, den):
+        return "%d" % num if spec == "p=2" or num == 0 else "%d/%d" % (num, den)
+    return "field %s\n%s\n" % (spec, "\n".join(
+        " ".join(token(*c) for c in row) for row in rows))
+
+
+def _hbar_rows(rows):
+    # (alpha, u, v, beta) -> (beta, -v, -u, alpha): the same orbit
+    def neg(c):
+        return (-c[0], c[1])
+    return [[row[7]] + [neg(c) for c in row[4:7]] + [neg(c) for c in row[1:4]]
+            + [row[0]] for row in rows]
+
+
+def _swap12_rows(rows):
+    # u1 <-> u2 and v1 <-> v2 in the last member keep its trace and norm
+    last = rows[-1]
+    swapped = [last[0], last[2], last[1], last[3], last[5], last[4], last[6],
+               last[7]]
+    return rows[:-1] + [swapped]
+
+
+def _shift_rows(rows):
+    last = rows[-1]
+    return rows[:-1] + [[(last[0][0] + last[0][1], last[0][1])] + last[1:]]
+
+
+def test_cli_stdout_frozen_digest(tmp_path):
+    """Exit codes and stdout of eval, separate and limit on generated
+    tuple files over QQ, GF(2), GF(5) and GF(1000003), n = 1..5, hash to
+    a frozen value: any change to what these commands print fails here."""
+    h = hashlib.sha256()
+
+    def run(label, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        h.update(("%s\n%d\n%s" % (label, code, out.getvalue())).encode())
+
+    for spec in _DIGEST_FIELDS:
+        for n in range(1, 6):
+            for s, support in enumerate(_DIGEST_SUPPORTS):
+                label = "%s n=%d support=%d" % (spec, n, s)
+                rows = _digest_rows(n, support)
+                path = write(tmp_path, "a.oct", _digest_text(spec, rows))
+                for family in ("S", "S0"):
+                    run(label + " eval " + family,
+                        ["eval", path, "--family", family])
+                # a refused lambda prints nothing whatever the tuple
+                for lam in _DIGEST_LAMBDAS + (_DIGEST_BAD_LAMBDAS if n == 1
+                                              else ()):
+                    run(label + " limit " + lam,
+                        ["limit", path, "--lambda=" + lam])
+                for name, other in (("hbar", _hbar_rows(rows)),
+                                    ("swap12", _swap12_rows(rows)),
+                                    ("shift", _shift_rows(rows))):
+                    b = write(tmp_path, "b.oct", _digest_text(spec, other))
+                    run(label + " separate " + name, ["separate", path, b])
+    assert h.hexdigest() == \
+        "6430b65079894d5b71172ca4605d3aa88e9ee6cfda7beb59f79fac91f3260e72"

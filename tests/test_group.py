@@ -94,8 +94,44 @@ def test_theta():
     assert gp.is_automorphism(th)
     with pytest.raises(ValueError):
         gp.theta(field, (1, -1, 0), field.zero)
-    with pytest.raises(ValueError):
-        gp.theta(field, (1, 1, 0), t)
+    ring = PolynomialRing(QQ)
+    assert gp.is_automorphism(gp.theta(ring, (2, -1, -1), ring.constant(QQ(3))))
+    for lam in ((1, 1, 0), (1, -1), (1, -1, 0, 0), (2, -1, -1, 0, 0),
+                (1, -1, 0.0), (True, False, -1)):
+        with pytest.raises(ValueError):
+            gp.theta(field, lam, t)
+        with pytest.raises(ValueError):
+            gp.weights(lam)
+
+
+def test_one_coordinate_order():
+    # basis vectors, matrix columns and torus weights share the z-order
+    # (alpha, u1, u2, u3, v1, v2, v3, beta) of coords()
+    assert gp.weights((2, -3, 1)) == (0, 2, -3, 1, -2, 3, -1, 0)
+    for field in (GF(2), GF(5), QQ):
+        basis = oc.basis(field)
+        for k, b in enumerate(basis):
+            assert b.coords() == tuple(field.one if j == k else field.zero
+                                       for j in range(8))
+        sl3 = [[field(x) for x in row]
+               for row in ((1, 2, 0), (0, 1, 0), (3, 0, 1))]
+        gens = [gp.from_sl3(field, sl3), gp.hbar(field),
+                gp.delta1(field, (field(1), field(0), field(1))),
+                gp.delta2(field, (field(0), field(1), field(1)))]
+        if field is GF(2):
+            gens += gp._generator_elements(field)
+        else:
+            gens += [gp.theta(field, (2, -3, 1), field(3))]
+        for g in gens:
+            for k, b in enumerate(basis):
+                assert tuple(row[k] for row in g.rows) == g(b).coords()
+    for field in (GF(5), QQ):
+        t = field(2)
+        for lam in ((1, -1, 0), (2, -3, 1), (0, 0, 0)):
+            th = gp.theta(field, lam, t)
+            w = gp.weights(lam)
+            for k, b in enumerate(oc.basis(field)):
+                assert th(b) == b.scale(t ** w[k])
 
 
 def test_apply_basics():

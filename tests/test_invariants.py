@@ -59,7 +59,8 @@ def test_enumerate_set_size_limit():
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         inv.Descriptor("tr", (2, 1))
-    for kind, indices in (("det", (1,)), ("n", (1, 2)), ("n", ()), ("tr", ())):
+    for kind, indices in (("det", (1,)), ("n", (1, 2)), ("n", ()), ("tr", ()),
+                          ("tr", (0, 1)), ("n", (0,)), ("n", (-1,))):
         with pytest.raises(ValueError):
             inv.Descriptor(kind, indices)
     with pytest.raises(ValueError):

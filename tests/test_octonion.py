@@ -153,4 +153,5 @@ def test_ring_mismatch_errors():
 def test_coordinate_round_trip():
     a = oc.from_coords(QQ, [QQ(k) for k in (1, 2, 3, 4, 5, 6, 7, 8)])
     assert oc.from_coords(QQ, a.coords()) == a
-    assert oc.from_basis_coords(QQ, a.basis_coords()) == a
+    assert sum((b.scale(c) for c, b in zip(a.coords(), oc.basis(QQ))),
+               oc.zero(QQ)) == a

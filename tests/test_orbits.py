@@ -8,7 +8,6 @@ from splitoct import octonion as oc
 from splitoct import orbits as ob
 from splitoct.invariants import enumerate_set, eval_descriptor
 from splitoct.scalars import GF, QQ, PolynomialRing
-from splitoct.suite import low_dimensional_bases
 
 
 def rand_oct(field, rng):
@@ -29,9 +28,9 @@ def test_algebra_closure_examples():
     u1 = oc.unit_u(QQ, 1)
     cl = ob.algebra_closure((e1, e2 + u1))
     assert len(cl) == 3
-    span = [list(a.basis_coords()) for a in cl]
+    span = [list(a.coords()) for a in cl]
     for member in (e1, e2, u1):
-        assert linalg.in_span(span, list(member.basis_coords()), QQ) is not None
+        assert linalg.in_span(span, list(member.coords()), QQ) is not None
     assert ob.algebra_closure((oc.identity(QQ),)) == [oc.identity(QQ)]
     cl3 = ob.algebra_closure((u1, oc.unit_v(QQ, 2), oc.unit_v(QQ, 3)))
     assert len(cl3) == 3
@@ -91,8 +90,12 @@ def test_limit_examples():
     r2 = ob.limit((1, -1, 0), (oc.identity(QQ), u1))
     assert r2.exists and r2.value == (oc.identity(QQ), oc.zero(QQ))
     assert not ob.limit((1, -1, 0), (oc.unit_v(QQ, 1),)).exists
-    with pytest.raises(ValueError):
-        ob.limit((1, 1, 0), (u1,))
+    for lam in ((1, 1, 0), (1, -1), (1, -1, 0, 0), (2, -1, -1, 0, 0),
+                (1, -1, 0.0)):
+        with pytest.raises(ValueError):
+            ob.limit(lam, (u1,))
+        with pytest.raises(ValueError):
+            ob.theta_curve(lam, (u1,), QQ(2))
 
 
 def test_limit_agrees_with_curve_constant_term():
@@ -124,16 +127,16 @@ def test_gram_matrix():
     f2 = GF(2)
     g = ob.gram_matrix(oc.basis(f2))
     assert linalg.rank(g, f2) == 8
-    # basis (e1, e2, u1, u2, u3, v1, v2, v3): e1 and e2 pair with
+    # basis (e1, u1, u2, u3, v1, v2, v3, e2): e1 and e2 pair with
     # themselves, u_i with v_i
     assert ob.gram_matrix(oc.basis(QQ)) == [[1, 0, 0, 0, 0, 0, 0, 0],
-                                            [0, 1, 0, 0, 0, 0, 0, 0],
+                                            [0, 0, 0, 0, 1, 0, 0, 0],
                                             [0, 0, 0, 0, 0, 1, 0, 0],
                                             [0, 0, 0, 0, 0, 0, 1, 0],
-                                            [0, 0, 0, 0, 0, 0, 0, 1],
+                                            [0, 1, 0, 0, 0, 0, 0, 0],
                                             [0, 0, 1, 0, 0, 0, 0, 0],
                                             [0, 0, 0, 1, 0, 0, 0, 0],
-                                            [0, 0, 0, 0, 1, 0, 0, 0]]
+                                            [0, 0, 0, 0, 0, 0, 0, 1]]
     z = oc.zero(QQ)
     assert ob.gram_matrix((z, z)) == [[0, 0], [0, 0]]
     rng = random.Random(79)
@@ -170,7 +173,7 @@ def test_oracle_consistent_with_separation(g2f2_elements):
 
 def test_low_dimensional_bases_close_and_differ(g2f2_array):
     by_dim = {}
-    for basis_tup in low_dimensional_bases(GF(2)).values():
+    for basis_tup in ob.low_dimensional_bases(GF(2)).values():
         by_dim.setdefault(len(basis_tup), []).append(basis_tup)
     for dim, bases in by_dim.items():
         for basis_tup in bases:
