@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import group as gp
 from . import octonion as oc
@@ -171,7 +172,10 @@ def cmd_examples(args, out):
     return 0 if passed == len(results) else 1
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on the first call and reused, so an
+    in-process caller of main pays for it once."""
     parser = argparse.ArgumentParser(
         prog="splitoct",
         description="Exact split-octonion invariants toolkit")
@@ -211,8 +215,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
     except (ParseError, ValueError, IndexError, ZeroDivisionError) as exc:

@@ -4,7 +4,9 @@ enumeration of the full automorphism group over GF(2).
 
 A group element is stored as a dense 8x8 matrix over its scalar ring,
 acting on coords() columns, in z-order (alpha, u1, u2, u3, v1, v2, v3,
-beta): column k holds the image of the k-th basis octonion.
+beta): column k holds the image of the k-th basis octonion.  The
+generators are built from those images as z-order coordinate tuples,
+and an element acts on an octonion through its coordinate tuple.
 """
 
 from functools import cache
@@ -36,7 +38,8 @@ class GroupElement:
             raise TypeError("expected an octonion")
         if a.ring is not self.ring:
             raise ValueError("octonion ring does not match group element ring")
-        return oc.from_coords(self.ring, linalg.matvec(self.rows, a.coords()))
+        return oc.Octonion(self.ring,
+                           tuple(linalg.matvec(self.rows, a.coords())))
 
     def __call__(self, a):
         return self.apply(a)
@@ -70,86 +73,67 @@ def identity_element(ring):
     return GroupElement(ring, rows)
 
 
-def _columns_to_rows(cols):
-    return [tuple(col[r] for col in cols) for r in range(8)]
-
-
 def _from_images(ring, images):
-    return GroupElement(ring, _columns_to_rows([a.coords() for a in images]))
+    """The element whose column k is the z-order coordinate tuple images[k],
+    the image of the k-th basis octonion."""
+    return GroupElement(ring, zip(*images))
 
 
 def from_sl3(ring, g):
     """The automorphism u -> u g, v -> v g^(-T) of a unimodular 3x3 g.
 
     Since det g = 1, the inverse is the adjugate, so this also works for
-    matrices over a polynomial ring.
+    matrices over a polynomial ring.  Row i of g^(-T) is column i of the
+    adjugate, the cross product of rows i+1 and i+2 of g.
     """
-    g = [list(r) for r in g]
-    d = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-         - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-         + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-    if d != ring.one:
+    g = [tuple(r) for r in g]
+    if oc.dot3(g[0], oc.cross3(g[1], g[2])) != ring.one:
         raise ValueError("matrix must have determinant 1")
-    adj = [[g[1][1] * g[2][2] - g[1][2] * g[2][1],
-            g[0][2] * g[2][1] - g[0][1] * g[2][2],
-            g[0][1] * g[1][2] - g[0][2] * g[1][1]],
-           [g[1][2] * g[2][0] - g[1][0] * g[2][2],
-            g[0][0] * g[2][2] - g[0][2] * g[2][0],
-            g[0][2] * g[1][0] - g[0][0] * g[1][2]],
-           [g[1][0] * g[2][1] - g[1][1] * g[2][0],
-            g[0][1] * g[2][0] - g[0][0] * g[2][1],
-            g[0][0] * g[1][1] - g[0][1] * g[1][0]]]
     z = ring.zero
-    images = [oc.unit_e(ring, 1)]
-    for i in range(3):
-        images.append(oc.Octonion(ring, z, tuple(g[i]), (z, z, z), z))
-    for i in range(3):
-        # row i of g^(-T) is column i of the inverse (= adjugate here)
-        col = (adj[0][i], adj[1][i], adj[2][i])
-        images.append(oc.Octonion(ring, z, (z, z, z), col, z))
-    images.append(oc.unit_e(ring, 2))
+    images = [oc.unit_e(ring, 1).coords()]
+    images += [(z,) + g[i] + (z, z, z, z) for i in range(3)]
+    images += [(z, z, z, z) + oc.cross3(g[(i + 1) % 3], g[(i + 2) % 3]) + (z,)
+               for i in range(3)]
+    images.append(oc.unit_e(ring, 2).coords())
     return _from_images(ring, images)
 
 
-def _delta1_apply(ring, uvec, a):
-    t = oc.dot3(uvec, a.v)
-    return oc.Octonion(
-        ring,
-        a.alpha - t,
-        tuple(x + (a.alpha - a.beta - t) * c for x, c in zip(a.u, uvec)),
-        tuple(x - y for x, y in zip(a.v, oc.cross3(a.u, uvec))),
-        a.beta + t,
-    )
+def _delta1_image(uvec, c):
+    u, v = c[1:4], c[4:7]
+    t = oc.dot3(uvec, v)
+    s = c[0] - c[7] - t
+    return ((c[0] - t,) + tuple(x + s * w for x, w in zip(u, uvec))
+            + tuple(x - y for x, y in zip(v, oc.cross3(u, uvec)))
+            + (c[7] + t,))
 
 
-def _delta2_apply(ring, vvec, a):
-    t = oc.dot3(a.u, vvec)
-    return oc.Octonion(
-        ring,
-        a.alpha + t,
-        tuple(x + y for x, y in zip(a.u, oc.cross3(a.v, vvec))),
-        tuple(x + (-a.alpha + a.beta - t) * c for x, c in zip(a.v, vvec)),
-        a.beta - t,
-    )
+def _delta2_image(vvec, c):
+    u, v = c[1:4], c[4:7]
+    t = oc.dot3(u, vvec)
+    s = -c[0] + c[7] - t
+    return ((c[0] + t,) + tuple(x + y for x, y in zip(u, oc.cross3(v, vvec)))
+            + tuple(x + s * w for x, w in zip(v, vvec))
+            + (c[7] - t,))
 
 
 def delta1(ring, uvec):
     uvec = tuple(uvec)
-    images = [_delta1_apply(ring, uvec, b) for b in oc.basis(ring)]
-    return _from_images(ring, images)
+    return _from_images(ring, [_delta1_image(uvec, b.coords())
+                               for b in oc.basis(ring)])
 
 
 def delta2(ring, vvec):
     vvec = tuple(vvec)
-    images = [_delta2_apply(ring, vvec, b) for b in oc.basis(ring)]
-    return _from_images(ring, images)
+    return _from_images(ring, [_delta2_image(vvec, b.coords())
+                               for b in oc.basis(ring)])
 
 
 def hbar(ring):
     """The involutive automorphism (alpha,u,v,beta) -> (beta,-v,-u,alpha)."""
-    images = [oc.Octonion(ring, a.beta, tuple(-x for x in a.v),
-                          tuple(-x for x in a.u), a.alpha)
-              for a in oc.basis(ring)]
+    images = []
+    for b in oc.basis(ring):
+        c = b.coords()
+        images.append((c[7],) + tuple(-x for x in c[4:7] + c[1:4]) + (c[0],))
     return _from_images(ring, images)
 
 
@@ -237,14 +221,12 @@ def sl3_transvections(field):
 
 def _generator_elements(field):
     gens = [from_sl3(field, m) for m in sl3_transvections(field)]
-    for i in (1, 2, 3):
-        for t in range(1, field.p):
-            c = tuple(field(t) if k == i - 1 else field.zero for k in range(3))
-            gens.append(delta1(field, c))
-    for i in (1, 2, 3):
-        for t in range(1, field.p):
-            c = tuple(field(t) if k == i - 1 else field.zero for k in range(3))
-            gens.append(delta2(field, c))
+    for delta in (delta1, delta2):
+        for i in (1, 2, 3):
+            for t in range(1, field.p):
+                c = tuple(field(t) if k == i - 1 else field.zero
+                          for k in range(3))
+                gens.append(delta(field, c))
     return gens
 
 

@@ -105,9 +105,7 @@ def eval_descriptor(desc, tup):
 
 def generic_octonion(ring, i):
     """Z_i with coordinates z[i,1..8] over a polynomial ring."""
-    v = ring.var
-    return oc.Octonion(ring, v(i, 1), (v(i, 2), v(i, 3), v(i, 4)),
-                       (v(i, 5), v(i, 6), v(i, 7)), v(i, 8))
+    return oc.Octonion(ring, tuple(ring.var(i, j) for j in range(1, 9)))
 
 
 def descriptor_polynomial(desc, ring):
@@ -190,16 +188,16 @@ def psi(f):
 
 def psi_hat(a):
     """psi applied to each coordinate of an octonion over a polynomial ring."""
-    return oc.Octonion(a.ring, psi(a.alpha), tuple(psi(x) for x in a.u),
-                       tuple(psi(x) for x in a.v), psi(a.beta))
+    return oc.Octonion(a.ring, tuple(map(psi, a.coords())))
 
 
 def embed_matrix(ring, m):
     """The multiplicative, trace preserving embedding of 2x2 matrices:
-    (a1,a2;a3,a4) -> (a1, (a2,0,0), (a3,0,0), a4)."""
+    (a1,a2;a3,a4) -> (a1, (a2,0,0), (a3,0,0), a4), the z-order
+    coordinates (a1, a2, 0, 0, a3, 0, 0, a4)."""
     z = ring.zero
     (a1, a2), (a3, a4) = m
-    return oc.Octonion(ring, a1, (a2, z, z), (a3, z, z), a4)
+    return oc.Octonion(ring, (a1, a2, z, z, a3, z, z, a4))
 
 
 def mat2_mul(a, b):

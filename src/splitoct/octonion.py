@@ -1,11 +1,14 @@
 """The split octonion algebra O(A) over any commutative ring A, in the
 Zorn vector-matrix presentation (alpha, u, v, beta) with u, v in A^3.
 
-Coordinates, the basis and the columns of automorphism matrices all run
-in z-order (alpha, u1, u2, u3, v1, v2, v3, beta), matching the variables
-z[i,1..8] of the polynomial ring; the basis is (e1, u1, u2, u3, v1, v2,
-v3, e2).
+An octonion is its ring plus one tuple of eight coordinates in z-order
+(alpha, u1, u2, u3, v1, v2, v3, beta), matching the variables z[i,1..8]
+of the polynomial ring; coords() returns that tuple.  The basis is (e1,
+u1, u2, u3, v1, v2, v3, e2), and the columns of automorphism matrices
+run in the same order.
 """
+
+from operator import add, neg, sub
 
 __all__ = [
     "Octonion", "dot3", "cross3", "basis", "identity", "zero",
@@ -23,33 +26,15 @@ def cross3(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def _add3(u, v):
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def _sub3(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def _neg3(u):
-    return (-u[0], -u[1], -u[2])
-
-
-def _scale3(c, u):
-    return (c * u[0], c * u[1], c * u[2])
-
-
 class Octonion:
-    """Immutable Zorn vector matrix over a scalar ring."""
+    """Immutable Zorn vector matrix over a scalar ring, built from a
+    ready 8-tuple of z-order coordinates (from_coords checks one)."""
 
-    __slots__ = ("ring", "alpha", "u", "v", "beta")
+    __slots__ = ("ring", "_c")
 
-    def __init__(self, ring, alpha, u, v, beta):
+    def __init__(self, ring, c):
         self.ring = ring
-        self.alpha = alpha
-        self.u = tuple(u)
-        self.v = tuple(v)
-        self.beta = beta
+        self._c = c
 
     def _check(self, other):
         if not isinstance(other, Octonion):
@@ -59,122 +44,114 @@ class Octonion:
 
     def __add__(self, other):
         self._check(other)
-        return Octonion(self.ring, self.alpha + other.alpha,
-                        _add3(self.u, other.u), _add3(self.v, other.v),
-                        self.beta + other.beta)
+        return Octonion(self.ring, tuple(map(add, self._c, other._c)))
 
     def __sub__(self, other):
         self._check(other)
-        return Octonion(self.ring, self.alpha - other.alpha,
-                        _sub3(self.u, other.u), _sub3(self.v, other.v),
-                        self.beta - other.beta)
+        return Octonion(self.ring, tuple(map(sub, self._c, other._c)))
 
     def __neg__(self):
-        return Octonion(self.ring, -self.alpha, _neg3(self.u), _neg3(self.v),
-                        -self.beta)
+        return Octonion(self.ring, tuple(map(neg, self._c)))
 
     def __mul__(self, other):
+        """(alpha, u, v, beta)(alpha', u', v', beta') =
+        (alpha alpha' + <u, v'>, alpha u' + beta' u - v x v',
+         alpha' v + beta v' + u x u', beta beta' + <v, u'>)."""
         self._check(other)
-        a, b = self, other
-        return Octonion(
-            self.ring,
-            a.alpha * b.alpha + dot3(a.u, b.v),
-            _sub3(_add3(_scale3(a.alpha, b.u), _scale3(b.beta, a.u)),
-                  cross3(a.v, b.v)),
-            _add3(_add3(_scale3(b.alpha, a.v), _scale3(a.beta, b.v)),
-                  cross3(a.u, b.u)),
-            a.beta * b.beta + dot3(a.v, b.u),
-        )
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._c
+        b0, b1, b2, b3, b4, b5, b6, b7 = other._c
+        return Octonion(self.ring, (
+            a0 * b0 + (a1 * b4 + a2 * b5 + a3 * b6),
+            a0 * b1 + b7 * a1 - (a5 * b6 - a6 * b5),
+            a0 * b2 + b7 * a2 - (a6 * b4 - a4 * b6),
+            a0 * b3 + b7 * a3 - (a4 * b5 - a5 * b4),
+            b0 * a4 + a7 * b4 + (a2 * b3 - a3 * b2),
+            b0 * a5 + a7 * b5 + (a3 * b1 - a1 * b3),
+            b0 * a6 + a7 * b6 + (a1 * b2 - a2 * b1),
+            a7 * b7 + (a4 * b1 + a5 * b2 + a6 * b3)))
 
-    def scale(self, c):
-        return Octonion(self.ring, c * self.alpha, _scale3(c, self.u),
-                        _scale3(c, self.v), c * self.beta)
+    def scale(self, s):
+        return Octonion(self.ring, tuple(s * x for x in self._c))
 
     def conj(self):
-        return Octonion(self.ring, self.beta, _neg3(self.u), _neg3(self.v),
-                        self.alpha)
+        c = self._c
+        return Octonion(self.ring, (c[7], -c[1], -c[2], -c[3],
+                                    -c[4], -c[5], -c[6], c[0]))
 
     def trace(self):
-        return self.alpha + self.beta
+        return self._c[0] + self._c[7]
 
     def norm(self):
-        return self.alpha * self.beta - dot3(self.u, self.v)
+        c = self._c
+        return c[0] * c[7] - dot3(c[1:4], c[4:7])
 
     def is_zero(self):
         z = self.ring.zero
-        return (self.alpha == z and self.beta == z
-                and all(c == z for c in self.u) and all(c == z for c in self.v))
+        return all(x == z for x in self._c)
 
     def coords(self):
         """Coordinates in z-order: (alpha, u1, u2, u3, v1, v2, v3, beta)."""
-        return (self.alpha,) + self.u + self.v + (self.beta,)
+        return self._c
 
     def __eq__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return (self.ring is other.ring and self.alpha == other.alpha
-                and self.u == other.u and self.v == other.v
-                and self.beta == other.beta)
+        return self.ring is other.ring and self._c == other._c
 
     def __repr__(self):
-        return "Oct(%r, %r, %r, %r)" % (self.alpha, self.u, self.v, self.beta)
+        c = self._c
+        return "Oct(%r, %r, %r, %r)" % (c[0], c[1:4], c[4:7], c[7])
 
 
 def q_form(a, b):
     """The symmetric bilinear form q(a,b) = n(a+b) - n(a) - n(b)."""
-    return (a.alpha * b.beta + b.alpha * a.beta
-            - dot3(a.u, b.v) - dot3(b.u, a.v))
+    a, b = a.coords(), b.coords()
+    return (a[0] * b[7] + b[0] * a[7]
+            - dot3(a[1:4], b[4:7]) - dot3(b[1:4], a[4:7]))
+
+
+def _unit(ring, k):
+    """The octonion whose z-order coordinate k is one and the rest zero."""
+    z, o = ring.zero, ring.one
+    return Octonion(ring, tuple(o if j == k else z for j in range(8)))
 
 
 def zero(ring):
-    z = ring.zero
-    return Octonion(ring, z, (z, z, z), (z, z, z), z)
+    return Octonion(ring, (ring.zero,) * 8)
 
 
 def identity(ring):
     z, o = ring.zero, ring.one
-    return Octonion(ring, o, (z, z, z), (z, z, z), o)
+    return Octonion(ring, (o, z, z, z, z, z, z, o))
 
 
 def unit_e(ring, i):
-    z, o = ring.zero, ring.one
-    if i == 1:
-        return Octonion(ring, o, (z, z, z), (z, z, z), z)
-    if i == 2:
-        return Octonion(ring, z, (z, z, z), (z, z, z), o)
-    raise ValueError("e index must be 1 or 2")
-
-
-def _unit_vec(ring, i):
-    z, o = ring.zero, ring.one
-    if i not in (1, 2, 3):
-        raise ValueError("vector index must be 1, 2 or 3")
-    return tuple(o if k == i - 1 else z for k in range(3))
+    if i not in (1, 2):
+        raise ValueError("e index must be 1 or 2")
+    return _unit(ring, 0 if i == 1 else 7)
 
 
 def unit_u(ring, i):
-    z = ring.zero
-    return Octonion(ring, z, _unit_vec(ring, i), (z, z, z), z)
+    if i not in (1, 2, 3):
+        raise ValueError("vector index must be 1, 2 or 3")
+    return _unit(ring, i)
 
 
 def unit_v(ring, i):
-    z = ring.zero
-    return Octonion(ring, z, (z, z, z), _unit_vec(ring, i), z)
+    if i not in (1, 2, 3):
+        raise ValueError("vector index must be 1, 2 or 3")
+    return _unit(ring, i + 3)
 
 
 def basis(ring):
     """The eight basis octonions in z-order: basis(ring)[k].coords() is the
     k-th unit vector."""
-    return (unit_e(ring, 1),
-            unit_u(ring, 1), unit_u(ring, 2), unit_u(ring, 3),
-            unit_v(ring, 1), unit_v(ring, 2), unit_v(ring, 3),
-            unit_e(ring, 2))
+    return tuple(_unit(ring, k) for k in range(8))
 
 
 def from_coords(ring, c):
     """Build an octonion from z-order coordinates (alpha, u, v, beta)."""
-    c = list(c)
+    c = tuple(c)
     if len(c) != 8:
         raise ValueError("need 8 coordinates")
-    return Octonion(ring, c[0], (c[1], c[2], c[3]), (c[4], c[5], c[6]), c[7])
-
+    return Octonion(ring, c)

@@ -19,11 +19,25 @@ __all__ = [
 ]
 
 
+def _ring_of(*tuples):
+    """The one ring of every octonion in the tuples.
+
+    Raises ValueError for an empty tuple, tuples of unequal lengths or
+    octonions over different rings.
+    """
+    n = len(tuples[0])
+    if n == 0:
+        raise ValueError("need at least one octonion")
+    if any(len(tup) != n for tup in tuples):
+        raise ValueError("tuples must have equal length")
+    ring = tuples[0][0].ring
+    if any(a.ring is not ring for tup in tuples for a in tup):
+        raise ValueError("tuple members live over different rings")
+    return ring
+
+
 def _field_of(tup):
-    ring = tup[0].ring
-    for a in tup:
-        if a.ring is not ring:
-            raise ValueError("tuple members live over different rings")
+    ring = _ring_of(tup)
     if not ring.is_field:
         raise ValueError("this operation needs a field")
     return ring
@@ -44,17 +58,16 @@ def algebra_closure(tup):
     """Echelonized basis of the (non-unital) subalgebra generated by the
     tuple: iterate span + pairwise products to a fixed point."""
     field = _field_of(tup)
-    ring = tup[0].ring
     basis = _echelon_basis([list(a.coords()) for a in tup], field)
     while True:
-        octs = [oc.from_coords(ring, row) for row in basis]
+        octs = [oc.from_coords(field, row) for row in basis]
         candidates = [list(row) for row in basis]
         for a in octs:
             for b in octs:
                 candidates.append(list((a * b).coords()))
         new_basis = _echelon_basis(candidates, field)
         if len(new_basis) == len(basis):
-            return [oc.from_coords(ring, row) for row in new_basis]
+            return [oc.from_coords(field, row) for row in new_basis]
         basis = new_basis
 
 
@@ -80,10 +93,7 @@ def separate(a_tup, b_tup, family="S", d=8):
     """Evaluate the degree-filtered family on both tuples in lockstep; the
     first descriptor with differing values becomes the witness, and no
     later descriptor is evaluated."""
-    if len(a_tup) != len(b_tup):
-        raise ValueError("tuples must have equal length")
-    if a_tup[0].ring is not b_tup[0].ring:
-        raise ValueError("tuples must live over the same ring")
+    _ring_of(a_tup, b_tup)
     for (desc, va), (_desc, vb) in zip(evaluate_family(family, a_tup, d),
                                        evaluate_family(family, b_tup, d)):
         if va != vb:
@@ -116,7 +126,7 @@ def limit(lam, tup):
     the limit keeps exponent-zero coordinates and zeroes the positive ones.
     """
     exps = gp.weights(lam)
-    ring = tup[0].ring
+    ring = _ring_of(tup)
     zero = ring.zero
     out = []
     for a in tup:
@@ -139,7 +149,8 @@ def theta_curve(lam, tup, t):
     polynomial in t and its constant term is the limit.
     """
     exps = gp.weights(lam)
-    ring = t.ring if hasattr(t, "ring") else tup[0].ring
+    base = _ring_of(tup)
+    ring = t.ring if hasattr(t, "ring") else base
     out = []
     for a in tup:
         coords = []
@@ -147,7 +158,7 @@ def theta_curve(lam, tup, t):
             e = exps[k]
             lifted = ring(c) if not hasattr(c, "ring") else c
             if e < 0:
-                if c != tup[0].ring.zero:
+                if c != base.zero:
                     raise ValueError("curve is not polynomial in t for this tuple")
                 coords.append(ring.zero)
             else:
@@ -205,11 +216,8 @@ def orbit_equal_oracle(a_tup, b_tup):
     """Scan the enumerated automorphism group over GF(2) for an element
     mapping one tuple onto the other.  Returns (found, witness)."""
     field = GF(2)
-    for a in a_tup + b_tup:
-        if a.ring is not field:
-            raise ValueError("oracle tuples must live over GF(2)")
-    if len(a_tup) != len(b_tup):
-        raise ValueError("tuples must have equal length")
+    if _ring_of(a_tup, b_tup) is not field:
+        raise ValueError("oracle tuples must live over GF(2)")
     mats, _words = gp.enumerate_group_array(2)
     acols = np.array([[int(x.r) for x in a.coords()] for a in a_tup],
                      dtype=np.int64).T

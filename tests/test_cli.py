@@ -78,19 +78,20 @@ def write(tmp_path, name, text):
 def test_parse_tuple_file_rationals():
     ring, tup = cli.parse_tuple_file("field q\n1/2 0 0 0 0 0 0 -3\n")
     assert ring is QQ
-    assert tup[0].alpha == QQ(1) / 2 and tup[0].beta == -3
+    c = tup[0].coords()
+    assert c[0] == QQ(1) / 2 and c[7] == -3
 
 
 def test_parse_tuple_file_prime_field_reduces_negatives():
     ring, tup = cli.parse_tuple_file("field p=2\n-1 0 0 0 0 0 0 0\n")
     assert ring is GF(2)
-    assert tup[0].alpha == GF(2)(1)
+    assert tup[0].coords()[0] == GF(2)(1)
 
 
 def test_parse_tuple_file_comments_and_fractions_mod_p():
     ring, tup = cli.parse_tuple_file(
         "# comment\nfield p=5  # inline\n1/2 0 0 0 0 0 0 0\n")
-    assert tup[0].alpha == GF(5)(3)
+    assert tup[0].coords()[0] == GF(5)(3)
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -1,7 +1,10 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
+from splitoct import group as gp
 from splitoct import octonion as oc
 from splitoct import linalg
 from splitoct.invariants import generic_octonion
@@ -28,9 +31,9 @@ def test_identity_acts_trivially():
 
 def test_conj_swaps_and_negates():
     a = oc.from_coords(QQ, [QQ(k) for k in (1, 2, 3, 4, 5, 6, 7, 8)])
-    c = a.conj()
-    assert c.alpha == 8 and c.beta == 1
-    assert c.u == tuple(-x for x in a.u)
+    c = a.conj().coords()
+    assert c[0] == 8 and c[7] == 1
+    assert c[1:4] == tuple(-x for x in a.coords()[1:4])
     assert a.conj().conj() == a
 
 
@@ -155,3 +158,63 @@ def test_coordinate_round_trip():
     assert oc.from_coords(QQ, a.coords()) == a
     assert sum((b.scale(c) for c, b in zip(a.coords(), oc.basis(QQ))),
                oc.zero(QQ)) == a
+
+
+_DIGEST_RINGS = (QQ, GF(2), GF(5), GF(10 ** 14 + 31), PolynomialRing(QQ))
+
+
+def _digest_scalar(ring, rng):
+    if ring is QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    if isinstance(ring, PolynomialRing):
+        return (ring.var(rng.randint(1, 2), rng.randint(1, 8))
+                * rng.randint(-3, 3) + rng.randint(-3, 3))
+    return ring(rng.randrange(ring.p))
+
+
+def _digest_sl3(ring, rng):
+    """A product of three transvections I + t E_ij: unimodular over any
+    ring, with polynomial entries over a polynomial ring."""
+    z, o = ring.zero, ring.one
+    g = [[o if i == j else z for j in range(3)] for i in range(3)]
+    for _ in range(3):
+        i, j = rng.sample(range(3), 2)
+        t = _digest_scalar(ring, rng)
+        g = [[g[r][c] + (g[r][i] * t if c == j else z) for c in range(3)]
+             for r in range(3)]
+    return g
+
+
+def test_octonion_frozen_digest():
+    """repr and coords() of the 64 basis products, seeded arithmetic and
+    the rows of the generator matrices over QQ, GF(2), GF(5),
+    GF(10^14+31) and QQ[z] hash to a frozen value: any change to the
+    values or their printed form fails here."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(("%r\n" % (items,)).encode())
+
+    for ring in _DIGEST_RINGS:
+        rng = random.Random(repr(ring))
+        put(ring)
+        b = oc.basis(ring)
+        for x in b:
+            for y in b:
+                put(x * y, (x * y).coords())
+        for _ in range(12):
+            a, c = (oc.from_coords(ring, [_digest_scalar(ring, rng)
+                                          for _ in range(8)])
+                    for _ in range(2))
+            s = _digest_scalar(ring, rng)
+            put(a * c, a + c, a - c, -a, a.conj(), a.norm(), a.trace(),
+                a.scale(s), oc.q_form(a, c), (a * c).coords())
+        vec = lambda: tuple(_digest_scalar(ring, rng) for _ in range(3))
+        gens = [gp.from_sl3(ring, _digest_sl3(ring, rng)) for _ in range(3)]
+        gens += [gp.delta1(ring, vec()) for _ in range(3)]
+        gens += [gp.delta2(ring, vec()) for _ in range(3)]
+        gens += [gp.hbar(ring), gp.theta(ring, (2, -3, 1), 3)]
+        for g in gens:
+            put(g.rows)
+    assert h.hexdigest() == \
+        "ac245b3af810436d126aee85826c9fd0650d8f3bb2972f3e1611b27c57ef9772"

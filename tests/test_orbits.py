@@ -65,8 +65,9 @@ def test_separate_matches_reference_scan(field):
         shifted[rng.randrange(8)] += field(1)
         # u1 <-> u2 and v1 <-> v2 in one member keep its norm and trace,
         # so only a product trace can separate
-        swapped = oc.Octonion(field, a.alpha, (a.u[1], a.u[0], a.u[2]),
-                              (a.v[1], a.v[0], a.v[2]), a.beta)
+        c = a.coords()
+        swapped = oc.from_coords(field, (c[0], c[2], c[1], c[3],
+                                         c[5], c[4], c[6], c[7]))
         for b in (oc.from_coords(field, shifted), swapped):
             perturbed = image[:k] + (b,) + image[k + 1:]
             report = ob.separate(tup, perturbed, family, d)
@@ -81,6 +82,24 @@ def test_separate_validations():
         ob.separate((oc.zero(QQ),), (oc.zero(QQ), oc.zero(QQ)))
     with pytest.raises(ValueError):
         ob.separate((oc.zero(QQ),), (oc.zero(GF(2)),))
+
+
+def test_tuple_functions_refuse_empty_and_mixed_tuples():
+    u1, v1 = oc.unit_u(QQ, 1), oc.unit_v(GF(5), 1)
+    calls = (ob.rank, ob.algebra_closure,
+             lambda tup: ob.separate(tup, tup),
+             lambda tup: ob.limit((0, 0, 0), tup),
+             lambda tup: ob.theta_curve((0, 0, 0), tup, QQ(2)),
+             lambda tup: ob.orbit_equal_oracle(tup, tup))
+    for call in calls:
+        for tup in ((), (u1, v1)):
+            with pytest.raises(ValueError):
+                call(tup)
+    # a mixed first tuple used to be reported as separated by tr(2)
+    with pytest.raises(ValueError):
+        ob.separate((u1, v1), (u1, u1))
+    with pytest.raises(ValueError):
+        ob.orbit_equal_oracle((oc.zero(GF(2)),), ())
 
 
 def test_limit_examples():
