@@ -39,7 +39,7 @@ def _parse_scalar(ring, token, lineno):
     except (ValueError, ZeroDivisionError):
         raise ParseError("line %d: cannot parse scalar %r" % (lineno, token))
     try:
-        return ring.from_fraction(frac)
+        return ring(frac)
     except ZeroDivisionError:
         raise ParseError("line %d: scalar %r is undefined in this field"
                          % (lineno, token))

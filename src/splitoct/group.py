@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from . import octonion as oc
-from .scalars import GF
+from .scalars import GF, Polynomial
 
 __all__ = [
     "GroupElement", "identity_element", "from_sl3", "delta1", "delta2",
@@ -32,6 +32,8 @@ class GroupElement:
     def __init__(self, ring, rows):
         self.ring = ring
         self.rows = tuple(tuple(r) for r in rows)
+        if len(self.rows) != 8 or any(len(r) != 8 for r in self.rows):
+            raise ValueError("a group element needs an 8x8 matrix")
 
     def apply(self, a):
         if not isinstance(a, oc.Octonion):
@@ -87,6 +89,8 @@ def from_sl3(ring, g):
     adjugate, the cross product of rows i+1 and i+2 of g.
     """
     g = [tuple(r) for r in g]
+    if len(g) != 3 or any(len(r) != 3 for r in g):
+        raise ValueError("from_sl3 needs a 3x3 matrix")
     if oc.dot3(g[0], oc.cross3(g[1], g[2])) != ring.one:
         raise ValueError("matrix must have determinant 1")
     z = ring.zero
@@ -107,15 +111,6 @@ def _delta1_image(uvec, c):
             + (c[7] + t,))
 
 
-def _delta2_image(vvec, c):
-    u, v = c[1:4], c[4:7]
-    t = oc.dot3(u, vvec)
-    s = -c[0] + c[7] - t
-    return ((c[0] + t,) + tuple(x + y for x, y in zip(u, oc.cross3(v, vvec)))
-            + tuple(x + s * w for x, w in zip(v, vvec))
-            + (c[7] - t,))
-
-
 def delta1(ring, uvec):
     uvec = tuple(uvec)
     return _from_images(ring, [_delta1_image(uvec, b.coords())
@@ -123,9 +118,9 @@ def delta1(ring, uvec):
 
 
 def delta2(ring, vvec):
-    vvec = tuple(vvec)
-    return _from_images(ring, [_delta2_image(vvec, b.coords())
-                               for b in oc.basis(ring)])
+    """The v-shift by vvec: hbar delta1(-vvec) hbar."""
+    h = hbar(ring)
+    return h.compose(delta1(ring, (-x for x in vvec))).compose(h)
 
 
 def hbar(ring):
@@ -181,17 +176,16 @@ def coordinate_action(g, f):
     Substitutes each variable z[i,j] by the j-th z-coordinate of the
     octonion obtained by applying g^{-1} to a generic octonion in slot i.
     """
-    n_inv = g.inverse().rows
     ring = f.ring
-    assignment = {}
-    for (i, j) in f.variables():
-        row = n_inv[j - 1]
-        acc = ring.zero
-        for col in range(8):
-            c = row[col]
-            if c != g.ring.zero:
-                acc = acc + ring.constant(c) * ring.var(i, col + 1)
-        assignment[(i, j)] = acc
+    if g.ring is not ring.base:
+        raise ValueError("group element ring %r does not match the base "
+                         "ring of %r" % (g.ring, ring))
+    n_inv = g.inverse().rows
+    zero = g.ring.zero
+    assignment = {(i, j): Polynomial(ring, {((i, k),): c for k, c
+                                            in enumerate(n_inv[j - 1], 1)
+                                            if c != zero})
+                  for (i, j) in f.variables()}
     return f.substitute(assignment)
 
 

@@ -154,7 +154,7 @@ def q_prime(a1, a2, a3, a4, path="auto"):
             term = (((args[perm[0]] * args[perm[1]]) * args[perm[2]])
                     * args[perm[3]]).trace()
             acc = acc + (term if sgn > 0 else -term)
-        return acc * ring.from_fraction(Fraction(1, 24))
+        return acc * ring(Fraction(1, 24))
     if path == "combination":
         if ring.char == 2:
             raise ZeroDivisionError("2 is not invertible in characteristic 2")

@@ -24,7 +24,7 @@ def echelon(rows, field):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
+        inv = field.one / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != zero:

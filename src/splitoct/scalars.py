@@ -5,6 +5,10 @@ Rationals are plain `fractions.Fraction` (ints are accepted wherever a
 rational is expected; they are exact rationals with denominator 1).
 All rings are interned, so two rings compare equal iff they are the
 same object.
+
+Every ring offers one protocol: `ring(x)` coerces an int, a Fraction
+or an element of the ring; `zero`, `one`, `char` and `is_field`.  The
+inverse of a unit x is `ring.one / x`.
 """
 
 from fractions import Fraction
@@ -195,9 +199,6 @@ class PrimeField:
     def one(self):
         return self.elem(1)
 
-    def inv(self, x):
-        return self(x).inverse()
-
     def __repr__(self):
         return "GF(%d)" % self.p
 
@@ -227,9 +228,6 @@ class RationalField:
     @property
     def one(self):
         return Fraction(1)
-
-    def inv(self, x):
-        return Fraction(1) / Fraction(x)
 
     def __repr__(self):
         return "QQ"
@@ -334,6 +332,12 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
     def __pow__(self, k):
         if not isinstance(k, int):
             raise ValueError("exponent must be an integer")
@@ -369,18 +373,10 @@ class Polynomial:
     def is_constant(self):
         return all(m == () for m in self.terms)
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((), self.ring.base.zero)
-
     def inverse(self):
         if not self.is_constant() or self.is_zero():
             raise ZeroDivisionError("only nonzero constants are units")
-        c = self.constant_value()
-        if isinstance(c, FpElement):
-            return self.ring.constant(c.inverse())
-        return self.ring.constant(Fraction(1) / Fraction(c))
+        return self.ring(self.ring.base.one / self.terms[()])
 
     def variables(self):
         return sorted({v for m in self.terms for v in m})
@@ -467,21 +463,15 @@ class PolynomialRing:
     def var(self, i, j):
         return Polynomial(self, {((i, j),): self.base.one})
 
-    def constant(self, c):
-        c = self.base(c) if isinstance(c, (int, Fraction)) else c
-        if c == self.base.zero:
-            return Polynomial(self, {})
-        return Polynomial(self, {(): c})
-
     def __call__(self, x):
+        """x as a polynomial: an int, a Fraction or a base-field element
+        becomes a constant; a polynomial must already lie in this ring."""
         if isinstance(x, Polynomial):
             if x.ring is not self:
                 raise ValueError("polynomial from a different ring")
             return x
-        return self.constant(self.base(x))
-
-    def from_fraction(self, c):
-        return self.constant(self.base.from_fraction(c))
+        c = self.base(x)
+        return Polynomial(self, {(): c} if c else {})
 
     @property
     def zero(self):
@@ -489,10 +479,7 @@ class PolynomialRing:
 
     @property
     def one(self):
-        return self.constant(self.base.one)
-
-    def inv(self, x):
-        return self(x).inverse()
+        return Polynomial(self, {(): self.base.one})
 
     def __repr__(self):
         return "%r[z]" % (self.base,)

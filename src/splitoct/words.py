@@ -198,7 +198,7 @@ class TraceExpr:
         field = GF(p)
         terms = {}
         for m, c in self.terms.items():
-            r = field(c).r  # a Fraction goes through field.from_fraction
+            r = field(c).r
             if r:
                 terms[m] = r
         return TraceExpr(terms)
@@ -214,10 +214,7 @@ class TraceExpr:
         memo = cache.setdefault("words", {})
         acc = ring.zero
         for m, c in self.terms.items():
-            if isinstance(c, Fraction) and c.denominator != 1:
-                val = ring.from_fraction(c)
-            else:
-                val = ring(int(c))
+            val = ring(c)
             for f in m:
                 fv = cache.get(f)
                 if fv is None:

@@ -116,13 +116,6 @@ class _ArrayRing:
     def __call__(self, x):
         return np.full(self.m, int(x), dtype=self.dtype)
 
-    def from_fraction(self, c):
-        if not self.char:
-            raise ValueError("integer coefficients expected over the rationals")
-        num = c.numerator % self.char
-        den = pow(c.denominator % self.char, self.char - 2, self.char)
-        return np.full(self.m, (num * den) % self.char, dtype=self.dtype)
-
 
 def _all_labeled_words(max_degree, n):
     out = []

@@ -90,12 +90,12 @@ def test_theta():
     t = field(2)
     th = gp.theta(field, (1, -1, 0), t)
     assert th(oc.unit_u(field, 1)) == oc.unit_u(field, 1).scale(t)
-    assert th(oc.unit_v(field, 1)) == oc.unit_v(field, 1).scale(field.inv(t))
+    assert th(oc.unit_v(field, 1)) == oc.unit_v(field, 1).scale(t ** -1)
     assert gp.is_automorphism(th)
     with pytest.raises(ValueError):
         gp.theta(field, (1, -1, 0), field.zero)
     ring = PolynomialRing(QQ)
-    assert gp.is_automorphism(gp.theta(ring, (2, -1, -1), ring.constant(QQ(3))))
+    assert gp.is_automorphism(gp.theta(ring, (2, -1, -1), ring(QQ(3))))
     for lam in ((1, 1, 0), (1, -1), (1, -1, 0, 0), (2, -1, -1, 0, 0),
                 (1, -1, 0.0), (True, False, -1)):
         with pytest.raises(ValueError):
@@ -188,6 +188,31 @@ def test_generator_inverses():
 
 def test_coordinate_action_formula():
     assert suite.check_coordinate_action()
+
+
+def test_coordinate_action_refuses_mismatched_rings():
+    # the element's ring must be the polynomial's base field: a QQ element
+    # is not reduced mod 5, and a GF(5) element is not lifted to QQ
+    for field, base in ((QQ, GF(5)), (GF(5), QQ)):
+        g = gp.delta1(field, (field(1), field(0), field(2)))
+        f = generic_octonion(PolynomialRing(base), 1).norm()
+        with pytest.raises(ValueError):
+            gp.coordinate_action(g, f)
+
+
+def test_matrix_shapes_are_checked():
+    o, z = QQ.one, QQ.zero
+    for g in ([[o, z, z, QQ(5)], [z, o, z], [z, z, o]],
+              [[o, z], [z, o]],
+              [[o, z, z], [z, o, z]],
+              [[o, z, z], [z, o, z], [z, z, o], [z, z, o]]):
+        with pytest.raises(ValueError):
+            gp.from_sl3(QQ, g)
+    ident = gp.identity_element(QQ).rows
+    for rows in ([r[:7] for r in ident], ident[:7], ident + ident[:1],
+                 [r + (z,) for r in ident]):
+        with pytest.raises(ValueError):
+            gp.GroupElement(QQ, rows)
 
 
 def test_coordinate_action_fixes_invariants():

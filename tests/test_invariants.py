@@ -213,7 +213,7 @@ def test_psi_matches_substitution_of_zeros(base, terms):
     ring = PolynomialRing(base)
     f = ring.zero
     for c, factors in terms:
-        term = ring.constant(base(c))
+        term = ring(base(c))
         for i, j, e in factors:
             term = term * ring.var(i, j) ** e
         f = f + term

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -188,6 +189,24 @@ def test_oracle_consistent_with_separation(g2f2_elements):
         found, _ = ob.orbit_equal_oracle(tup, gtup)
         assert found
         assert not ob.separate(tup, gtup, "S", 8).separated
+
+
+def test_oracle_memory_does_not_grow_with_tuple_length(g2f2_array):
+    # one image of the group per member would take about 0.8 MB each
+    field = GF(2)
+    rng = random.Random(97)
+    tup = tuple(rand_oct(field, rng) for _ in range(400))
+    g = gp.GroupElement(field, [[field(int(x)) for x in row]
+                                for row in g2f2_array[0][5000]])
+    gtup = gp.apply_tuple(g, tup)
+    tracemalloc.start()
+    try:
+        found, witness = ob.orbit_equal_oracle(tup, gtup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found and gp.apply_tuple(witness, tup) == gtup
+    assert peak < 8 * 10 ** 6
 
 
 def test_low_dimensional_bases_close_and_differ(g2f2_array):

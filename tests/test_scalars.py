@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from splitoct.scalars import (GF, QQ, PolynomialRing, coefficients_in_z_half,
                               _is_prime)
@@ -92,7 +94,7 @@ def test_zero_inverse_errors():
     with pytest.raises(ZeroDivisionError):
         GF(5)(0).inverse()
     with pytest.raises(ZeroDivisionError):
-        QQ.inv(Fraction(0))
+        QQ.one / Fraction(0)
 
 
 def test_mixed_field_errors():
@@ -110,7 +112,7 @@ def test_nonprime_modulus_rejected():
 def _random_poly(ring, rng, nvars=4, nterms=4, coeff=None):
     out = ring.zero
     for _ in range(nterms):
-        term = ring.constant(coeff(rng) if coeff else rng.randint(-3, 3))
+        term = ring(coeff(rng) if coeff else rng.randint(-3, 3))
         for _ in range(rng.randint(0, 2)):
             term = term * ring.var(rng.randint(1, 2), rng.randint(1, nvars))
         out = out + term
@@ -204,7 +206,7 @@ def test_equal_scalars_hash_equal():
     one = PolynomialRing(QQ).one
     for x in (1, Fraction(1)):
         assert one == x and hash(one) == hash(x)
-    three = PolynomialRing(GF(5)).constant(3)
+    three = PolynomialRing(GF(5))(3)
     for x in (f5(3), 3):
         assert three == x and hash(three) == hash(x)
     assert three != 8
@@ -219,13 +221,13 @@ def test_polynomial_nonunit_inverse_errors():
         ring.var(1, 1).inverse()
     with pytest.raises(ZeroDivisionError):
         ring.zero.inverse()
-    assert ring.constant(Fraction(2)).inverse() == ring.constant(Fraction(1, 2))
+    assert ring(Fraction(2)).inverse() == ring(Fraction(1, 2))
 
 
 def test_coefficients_in_z_half():
     ring = PolynomialRing(QQ)
-    f = ring.constant(Fraction(3, 4)) * ring.var(1, 1)
-    g = ring.constant(Fraction(1, 3)) * ring.var(1, 1)
+    f = ring(Fraction(3, 4)) * ring.var(1, 1)
+    g = ring(Fraction(1, 3)) * ring.var(1, 1)
     assert coefficients_in_z_half(f)
     assert not coefficients_in_z_half(g)
 
@@ -253,3 +255,32 @@ def test_large_field_elements_are_not_retained():
     finally:
         tracemalloc.stop()
     assert retained < 10 ** 6
+
+
+_PROTOCOL_RINGS = (QQ, GF(2), GF(5), GF(10 ** 14 + 31), PolynomialRing(QQ),
+                   PolynomialRing(GF(5)))
+
+
+@given(st.sampled_from(_PROTOCOL_RINGS),
+       st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 6))
+def test_ring_protocol(ring, num, den):
+    """ring(x) is x in the base field, for an int and for a Fraction with
+    an invertible denominator; ring.one / x is the inverse of a unit."""
+    base = getattr(ring, "base", ring)
+    if base is not QQ:
+        assume(den % base.p)
+    for x in (num, Fraction(num, den)):
+        # x in the base field, computed without the ring
+        ref = Fraction(x)
+        if base is not QQ:
+            ref = ref.numerator * pow(ref.denominator, -1, base.p) % base.p
+        y = ring(x)
+        assert y == base(x) == ref and hash(y) == hash(base(x)) == hash(ref)
+        assert ring(y) == y
+        if not y:
+            continue
+        inv = ring.one / y
+        assert y * inv == ring.one and inv * y == ring.one
+        if ring is not base:
+            # a constant's inverse is its constant's inverse
+            assert y.inverse() == inv == ring(base.one / base(x))

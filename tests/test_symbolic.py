@@ -81,7 +81,7 @@ def test_certificate_reevaluates_to_target():
         prod = ring.one
         for lbl in labels:
             prod = prod * by_name[lbl]
-        total = total + ring.constant(QQ(coeff)) * prod
+        total = total + ring(QQ(coeff)) * prod
     assert total == sq
 
 
