@@ -112,7 +112,10 @@ def _delta1_image(uvec, c):
 
 
 def delta1(ring, uvec):
+    """The u-shift by uvec, a vector of three scalars."""
     uvec = tuple(uvec)
+    if len(uvec) != 3:
+        raise ValueError("a shift vector needs three entries")
     return _from_images(ring, [_delta1_image(uvec, b.coords())
                                for b in oc.basis(ring)])
 

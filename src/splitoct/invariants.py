@@ -197,7 +197,7 @@ def embed_matrix(ring, m):
     coordinates (a1, a2, 0, 0, a3, 0, 0, a4)."""
     z = ring.zero
     (a1, a2), (a3, a4) = m
-    return oc.Octonion(ring, (a1, a2, z, z, a3, z, z, a4))
+    return oc.from_coords(ring, (a1, a2, z, z, a3, z, z, a4))
 
 
 def mat2_mul(a, b):

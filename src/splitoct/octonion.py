@@ -6,9 +6,18 @@ An octonion is its ring plus one tuple of eight coordinates in z-order
 of the polynomial ring; coords() returns that tuple.  The basis is (e1,
 u1, u2, u3, v1, v2, v3, e2), and the columns of automorphism matrices
 run in the same order.
+
+The product is one formula, _zorn.  Over GF(p) it runs on the residues
+and over QQ on the integer numerators scaled to a common denominator,
+with one reduction per result coordinate; over any other ring it runs
+on the ring elements themselves.
 """
 
+from fractions import Fraction
+from math import lcm
 from operator import add, neg, sub
+
+from .scalars import QQ, PrimeField
 
 __all__ = [
     "Octonion", "dot3", "cross3", "basis", "identity", "zero",
@@ -26,9 +35,27 @@ def cross3(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
+def _zorn(a, b):
+    """The Zorn product of two z-order 8-tuples of scalars:
+    (alpha, u, v, beta)(alpha', u', v', beta') =
+    (alpha alpha' + <u, v'>, alpha u' + beta' u - v x v',
+     alpha' v + beta v' + u x u', beta beta' + <v, u'>)."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    return (a0 * b0 + (a1 * b4 + a2 * b5 + a3 * b6),
+            a0 * b1 + b7 * a1 - (a5 * b6 - a6 * b5),
+            a0 * b2 + b7 * a2 - (a6 * b4 - a4 * b6),
+            a0 * b3 + b7 * a3 - (a4 * b5 - a5 * b4),
+            b0 * a4 + a7 * b4 + (a2 * b3 - a3 * b2),
+            b0 * a5 + a7 * b5 + (a3 * b1 - a1 * b3),
+            b0 * a6 + a7 * b6 + (a1 * b2 - a2 * b1),
+            a7 * b7 + (a4 * b1 + a5 * b2 + a6 * b3))
+
+
 class Octonion:
     """Immutable Zorn vector matrix over a scalar ring, built from a
-    ready 8-tuple of z-order coordinates (from_coords checks one)."""
+    ready 8-tuple of z-order coordinates, each an element of the ring
+    (from_coords checks and coerces one)."""
 
     __slots__ = ("ring", "_c")
 
@@ -54,21 +81,22 @@ class Octonion:
         return Octonion(self.ring, tuple(map(neg, self._c)))
 
     def __mul__(self, other):
-        """(alpha, u, v, beta)(alpha', u', v', beta') =
-        (alpha alpha' + <u, v'>, alpha u' + beta' u - v x v',
-         alpha' v + beta v' + u x u', beta beta' + <v, u'>)."""
+        """_zorn on the residues over GF(p), on the common-denominator
+        numerators over QQ, and on the ring elements otherwise."""
         self._check(other)
-        a0, a1, a2, a3, a4, a5, a6, a7 = self._c
-        b0, b1, b2, b3, b4, b5, b6, b7 = other._c
-        return Octonion(self.ring, (
-            a0 * b0 + (a1 * b4 + a2 * b5 + a3 * b6),
-            a0 * b1 + b7 * a1 - (a5 * b6 - a6 * b5),
-            a0 * b2 + b7 * a2 - (a6 * b4 - a4 * b6),
-            a0 * b3 + b7 * a3 - (a4 * b5 - a5 * b4),
-            b0 * a4 + a7 * b4 + (a2 * b3 - a3 * b2),
-            b0 * a5 + a7 * b5 + (a3 * b1 - a1 * b3),
-            b0 * a6 + a7 * b6 + (a1 * b2 - a2 * b1),
-            a7 * b7 + (a4 * b1 + a5 * b2 + a6 * b3)))
+        ring = self.ring
+        if type(ring) is PrimeField:
+            p, elem = ring.p, ring.elem
+            return Octonion(ring, tuple([elem(v % p) for v in _zorn(
+                [x.r for x in self._c], [x.r for x in other._c])]))
+        if ring is QQ:
+            da = lcm(*[x.denominator for x in self._c])
+            db = lcm(*[x.denominator for x in other._c])
+            d = da * db
+            return Octonion(ring, tuple([Fraction(v, d) for v in _zorn(
+                [x.numerator * (da // x.denominator) for x in self._c],
+                [x.numerator * (db // x.denominator) for x in other._c])]))
+        return Octonion(ring, _zorn(self._c, other._c))
 
     def scale(self, s):
         return Octonion(self.ring, tuple(s * x for x in self._c))
@@ -150,8 +178,10 @@ def basis(ring):
 
 
 def from_coords(ring, c):
-    """Build an octonion from z-order coordinates (alpha, u, v, beta)."""
-    c = tuple(c)
+    """Build an octonion from z-order coordinates (alpha, u, v, beta),
+    each coerced by ring(x): an int or a Fraction becomes a ring element
+    and an element of another ring is refused."""
+    c = tuple(map(ring, c))
     if len(c) != 8:
         raise ValueError("need 8 coordinates")
     return Octonion(ring, c)

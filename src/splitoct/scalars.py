@@ -189,6 +189,8 @@ class PrimeField:
         if den == 0:
             raise ZeroDivisionError("denominator %d not invertible in GF(%d)"
                                     % (c.denominator, self.p))
+        if den == 1:
+            return self(c.numerator)
         return self(c.numerator) * self(den).inverse()
 
     @property

@@ -114,6 +114,9 @@ class _ArrayRing:
         return np.ones(self.m, dtype=self.dtype)
 
     def __call__(self, x):
+        # an element of the ring (a vector) passes through unchanged
+        if isinstance(x, np.ndarray):
+            return x
         return np.full(self.m, int(x), dtype=self.dtype)
 
 

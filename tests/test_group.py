@@ -213,6 +213,10 @@ def test_matrix_shapes_are_checked():
                  [r + (z,) for r in ident]):
         with pytest.raises(ValueError):
             gp.GroupElement(QQ, rows)
+    for vec in ((o, z, z, o), (o, z), ()):
+        for shift in (gp.delta1, gp.delta2):
+            with pytest.raises(ValueError):
+                shift(QQ, vec)
 
 
 def test_coordinate_action_fixes_invariants():

@@ -242,6 +242,9 @@ def test_embedding_unit_and_multiplicativity():
     rng = random.Random(47)
     ident = ((field.one, field.zero), (field.zero, field.one))
     assert inv.embed_matrix(field, ident) == oc.identity(field)
+    # integer entries are coerced into the field
+    m = inv.embed_matrix(field, ((1, 2), (3, 4)))
+    assert m * m == inv.embed_matrix(field, ((2, 0), (0, 2)))
     for _ in range(200):
         a = ((field(rng.randrange(5)), field(rng.randrange(5))),
              (field(rng.randrange(5)), field(rng.randrange(5))))

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from splitoct import group as gp
 from splitoct import octonion as oc
 from splitoct import linalg
 from splitoct.invariants import generic_octonion
-from splitoct.scalars import GF, QQ, PolynomialRing
+from splitoct.scalars import GF, QQ, FpElement, PolynomialRing
 
 
 def rand_oct(field, rng):
@@ -158,6 +160,53 @@ def test_coordinate_round_trip():
     assert oc.from_coords(QQ, a.coords()) == a
     assert sum((b.scale(c) for c, b in zip(a.coords(), oc.basis(QQ))),
                oc.zero(QQ)) == a
+
+
+def test_from_coords_coerces_through_ring():
+    f5 = GF(5)
+    a = oc.from_coords(f5, range(1, 9))
+    b = oc.from_coords(f5, [f5(k) for k in range(1, 9)])
+    assert a == b and a * a == b * b
+    assert all(type(x) is FpElement and x.field is f5 for x in a.coords())
+    q = oc.from_coords(QQ, (-3, 0, Fraction(1, 2), 4, 5, 6, 7, 8))
+    assert all(type(x) is Fraction for x in q.coords())
+    with pytest.raises(ValueError):
+        oc.from_coords(f5, [GF(7)(1)] * 8)
+    with pytest.raises(TypeError):
+        oc.from_coords(QQ, [f5(1)] * 8)
+
+
+_PRODUCT_RINGS = (GF(2), GF(3), GF(5), GF(1000003), GF(10 ** 14 + 31), QQ)
+
+
+@st.composite
+def _octonion_pair(draw):
+    """A ring and two octonions over it; over QQ the coordinates mix
+    zeros, negative integers and fractions of unequal denominators."""
+    ring = draw(st.sampled_from(_PRODUCT_RINGS))
+    if ring is QQ:
+        scalar = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                           st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                                     st.integers(1, 10 ** 4)))
+    else:
+        scalar = st.integers(0, ring.p - 1)
+    coords = st.lists(scalar, min_size=8, max_size=8)
+    return (ring, oc.from_coords(ring, draw(coords)),
+            oc.from_coords(ring, draw(coords)))
+
+
+@given(_octonion_pair())
+def test_integer_products_match_the_formula_on_ring_elements(pair):
+    """The residue path over GF(p) and the common-denominator path over
+    QQ equal the Zorn formula run on the ring elements themselves."""
+    ring, a, b = pair
+    prod = a * b
+    assert prod == oc.Octonion(ring, oc._zorn(a.coords(), b.coords()))
+    for x in prod.coords():
+        if ring is QQ:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is FpElement and x.field is ring
 
 
 _DIGEST_RINGS = (QQ, GF(2), GF(5), GF(10 ** 14 + 31), PolynomialRing(QQ))

@@ -97,6 +97,19 @@ def test_zero_inverse_errors():
         QQ.one / Fraction(0)
 
 
+def test_from_fraction_integral_and_singular_denominators():
+    """A Fraction of denominator 1 maps to its numerator's residue; a
+    denominator divisible by p has no image."""
+    for p in (5, 10 ** 14 + 31):
+        field = GF(p)
+        for n in (0, 7, -123456789, 10 ** 20 + 3):
+            assert field(Fraction(n)) == field(n) == n % p
+        assert field(Fraction(3, p + 1)) == field(3)
+        for den in (p, 3 * p):
+            with pytest.raises(ZeroDivisionError):
+                field(Fraction(2, den))
+
+
 def test_mixed_field_errors():
     with pytest.raises(ValueError):
         GF(2)(1) + GF(3)(1)
