@@ -15,7 +15,7 @@ from .group import (GroupElement, from_sl3, delta1, delta2, hbar, theta,
 from .invariants import (Descriptor, enumerate_set, evaluate_family,
                          eval_descriptor, q_prime, psi, psi_hat, embed_matrix,
                          generic_octonion)
-from .symbolic import (verify_identity, verify_all_identities,
+from .symbolic import (verify_identity, identity_table,
                        verify_skew_symmetrization, decomposability_check,
                        IDENTITY_NAMES)
 from .orbits import (rank, algebra_closure, separate, limit,

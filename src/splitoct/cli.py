@@ -138,18 +138,19 @@ def cmd_limit(args, out):
     return 0
 
 
-def cmd_verify(args, out):
-    width = max(len(n) for n in sy.IDENTITY_NAMES) + 2
-    all_ok = True
-    for name in sy.IDENTITY_NAMES:
-        ok = all(sy.verify_identity(name, base) for base in (QQ, GF(2), GF(5)))
-        all_ok = all_ok and ok
+def _print_rows(rows, out):
+    """Print (name, ok) rows as an aligned pass/FAIL table; returns the
+    number that passed."""
+    width = max(len(name) for name, _ok in rows) + 2
+    for name, ok in rows:
         print("%-*s %s" % (width, name, "pass" if ok else "FAIL"), file=out)
-    r = sy.verify_skew_symmetrization()
-    all_ok = all_ok and r.ok
-    print("%-*s %s" % (width, "skew-symmetrization", "pass" if r.ok else "FAIL"),
-          file=out)
-    return 0 if all_ok else 1
+    return sum(ok for _name, ok in rows)
+
+
+def cmd_verify(args, out):
+    rows = sy.identity_table()
+    rows.append(("skew-symmetrization", sy.verify_skew_symmetrization().ok))
+    return 0 if _print_rows(rows, out) == len(rows) else 1
 
 
 def cmd_group(args, out):
@@ -163,11 +164,7 @@ def cmd_group(args, out):
 
 def cmd_examples(args, out):
     results = suite.run_all()
-    width = max(len(n) for n, _ in results) + 2
-    passed = 0
-    for name, ok in results:
-        passed += ok
-        print("%-*s %s" % (width, name, "pass" if ok else "FAIL"), file=out)
+    passed = _print_rows(results, out)
     print("%d checks, %d passed" % (len(results), passed), file=out)
     return 0 if passed == len(results) else 1
 

@@ -3,9 +3,10 @@ of the degree-4 trace, and the bridge to 2x2 matrix invariants.
 
 A descriptor (words.Descriptor) is either n(i) or tr(i1,...,ik) with
 strictly increasing indices; the trace is always taken of the
-left-normed product.  The matrix side uses the same descriptors, with
-n(i) read as det and traces of associative products of generic 2x2
-matrices.
+left-normed product.  words.eval_descriptor, re-exported here, evaluates
+one descriptor; evaluate_family is the fast path over a whole family.
+The matrix side uses the same descriptors, with n(i) read as det and
+traces of associative products of generic 2x2 matrices.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from math import comb
 from . import octonion as oc
 from . import words as wd
 from .scalars import Polynomial
-from .words import Descriptor
+from .words import Descriptor, eval_descriptor
 
 __all__ = [
     "Descriptor", "enumerate_set", "evaluate_family", "eval_descriptor",
@@ -91,16 +92,6 @@ def evaluate_family(family, tup, d):
             prev, cur, k = cur, {}, len(idx)
         prod = cur[idx] = prev[idx[:-1]] * tup[idx[-1] - 1]
         yield desc, prod.trace()
-
-
-def eval_descriptor(desc, tup):
-    for i in desc.indices:
-        if not 1 <= i <= len(tup):
-            raise IndexError("descriptor index %d exceeds tuple length %d"
-                             % (i, len(tup)))
-    if desc.kind == "n":
-        return tup[desc.indices[0] - 1].norm()
-    return wd.evaluate(wd.left_normed(desc.indices), tup).trace()
 
 
 def generic_octonion(ring, i):

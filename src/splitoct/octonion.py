@@ -99,6 +99,7 @@ class Octonion:
         return Octonion(ring, _zorn(self._c, other._c))
 
     def scale(self, s):
+        s = self.ring(s)
         return Octonion(self.ring, tuple(s * x for x in self._c))
 
     def conj(self):

@@ -3,6 +3,7 @@ multivariate polynomials in variables z[i,j].
 
 Rationals are plain `fractions.Fraction` (ints are accepted wherever a
 rational is expected; they are exact rationals with denominator 1).
+Fractions are immutable, so QQ(x) returns a Fraction x itself.
 All rings are interned, so two rings compare equal iff they are the
 same object.
 
@@ -184,7 +185,7 @@ class PrimeField:
         raise TypeError("cannot coerce %r into GF(%d)" % (x, self.p))
 
     def from_fraction(self, c):
-        c = Fraction(c)
+        """c, a Fraction or an int, reduced into the field."""
         den = c.denominator % self.p
         if den == 0:
             raise ZeroDivisionError("denominator %d not invertible in GF(%d)"
@@ -216,12 +217,14 @@ class RationalField:
     is_field = True
 
     def __call__(self, x):
+        if type(x) is Fraction:  # immutable, so returned as it is
+            return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise TypeError("cannot coerce %r into the rationals" % (x,))
 
     def from_fraction(self, c):
-        return Fraction(c)
+        return self(c)
 
     @property
     def zero(self):

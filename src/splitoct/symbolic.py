@@ -1,20 +1,20 @@
 """Symbolic verification layer: the defining identities of the algebra
-checked as exact polynomial identities in generic octonions, the closed
-form of the skew symmetrized degree-4 trace, and a linear-algebra
-decomposability checker over exact fields.
+checked as exact polynomial identities in generic octonions over each
+field of IDENTITY_BASES (one table, identity_table), the closed form of
+the skew symmetrized degree-4 trace, and a linear-algebra
+decomposability checker over the base field of its target.
 """
 
 from functools import cache
 
 from . import linalg
 from . import octonion as oc
-from .invariants import generic_octonion, q_prime, q_prime_combination
-from .scalars import QQ, PolynomialRing, coefficients_in_z_half
+from .invariants import generic_octonion, q_prime
+from .scalars import GF, QQ, PolynomialRing, coefficients_in_z_half
 
 __all__ = [
-    "IDENTITY_NAMES", "verify_identity", "verify_all_identities",
-    "verify_skew_symmetrization", "skew_symmetrized_trace_polynomial",
-    "decomposability_check", "CheckResult",
+    "IDENTITY_NAMES", "IDENTITY_BASES", "verify_identity", "identity_table",
+    "verify_skew_symmetrization", "decomposability_check", "CheckResult",
 ]
 
 
@@ -107,6 +107,9 @@ _IDENTITIES = {
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
+# the base fields every identity is verified over
+IDENTITY_BASES = (QQ, GF(2), GF(5))
+
 
 def _first_failing_monomial(x):
     if isinstance(x, oc.Octonion):
@@ -135,28 +138,21 @@ def verify_identity(name, base=QQ):
     return CheckResult(name, bad is None, bad)
 
 
-def verify_all_identities(base=QQ):
-    return [verify_identity(name, base) for name in IDENTITY_NAMES]
-
-
-def skew_symmetrized_trace_polynomial(ring=None):
-    """The full signed average of tr over the 24 argument orders of the
-    degree-4 left-normed product, on generic octonions; 32 variables."""
-    if ring is None:
-        ring = PolynomialRing(QQ)
-    z = [generic_octonion(ring, i) for i in range(1, 5)]
-    return q_prime(*z, path="sym")
+def identity_table():
+    """One (name, ok) row per defining identity, ok when it holds over
+    every base field of IDENTITY_BASES."""
+    return [(name, all(verify_identity(name, base) for base in IDENTITY_BASES))
+            for name in IDENTITY_NAMES]
 
 
 def verify_skew_symmetrization():
-    """The signed average equals its closed combination of canonical
-    invariants, exactly, and its coefficients lie in Z[1/2]."""
+    """The signed average of tr over the 24 argument orders of the
+    degree-4 left-normed product equals its closed combination of
+    canonical invariants, exactly, and its coefficients lie in Z[1/2]."""
     ring = PolynomialRing(QQ)
-    lhs = skew_symmetrized_trace_polynomial(ring)
     z = tuple(generic_octonion(ring, i) for i in range(1, 5))
-    rhs = q_prime_combination().evaluate(z)
-    diff = lhs - rhs
-    bad = _first_failing_monomial(diff)
+    lhs = q_prime(*z, path="sym")
+    bad = _first_failing_monomial(lhs - q_prime(*z, path="combination"))
     if bad is not None:
         return CheckResult("skew-symmetrization", False, bad)
     if not coefficients_in_z_half(lhs):
@@ -168,7 +164,7 @@ def verify_skew_symmetrization():
 # Decomposability
 
 
-def decomposability_check(target, generators, field=QQ):
+def decomposability_check(target, generators):
     """Is the target polynomial a linear combination of products of the
     generator polynomials, within its multidegree component?
 
@@ -177,11 +173,13 @@ def decomposability_check(target, generators, field=QQ):
     single generator of full degree counts as a product of one).  For the
     decomposability question pass only generators of strictly lower
     degree, so every candidate is a product of at least two of them.
+    The linear algebra runs over the base field of the target's ring.
     Returns (expressible, certificate) where the certificate maps a
     tuple of generator labels to its coefficient.
 
     generators: list of (label, polynomial) pairs.
     """
+    field = target.ring.base
     n = max((i for i, _j in target.variables()), default=1)
     tmdeg = target.multidegree(n)
     gens = []

@@ -10,9 +10,10 @@ is an identity that can be checked by evaluation over any ring.
 
 The canonical invariants are the Descriptor pairs ("tr", (i1,...,ik))
 and ("n", (i,)), the members of the invariant families and, read with
-det for n, of the 2x2 matrix invariants.  TraceExpr factors are the same
-pairs as plain tuples: each equals and hash-equals its Descriptor, and
-plain tuples keep CPython's fast path for sorting monomials.
+det for n, of the 2x2 matrix invariants; eval_descriptor evaluates one
+on a tuple.  TraceExpr factors are the same pairs as plain tuples: each
+equals and hash-equals its Descriptor, and plain tuples keep CPython's
+fast path for sorting monomials.
 
 The rewriting uses three exact consequences of the quadratic relation
 and linearized alternativity:
@@ -34,7 +35,7 @@ from operator import itemgetter
 from .scalars import GF, add_terms, mul_terms
 
 __all__ = [
-    "Descriptor", "degree", "leaves", "left_normed", "evaluate",
+    "Descriptor", "eval_descriptor", "degree", "leaves", "left_normed", "evaluate",
     "TraceExpr", "te_const", "te_tr", "te_norm",
     "normalize_trace", "multilinear_sign", "Decomposable", "DECOMPOSABLE",
     "all_shapes", "canonical_trace",
@@ -141,6 +142,17 @@ class Descriptor(tuple):
     __repr__ = name
 
 
+def eval_descriptor(desc, tup):
+    """The descriptor's value on a tuple of octonions: the norm, or the
+    trace of the left-normed product."""
+    if max(desc.indices) > len(tup):  # a Descriptor's indices are >= 1
+        raise IndexError("descriptor index %d exceeds tuple length %d"
+                         % (max(desc.indices), len(tup)))
+    if desc.kind == "n":
+        return tup[desc.indices[0] - 1].norm()
+    return evaluate(left_normed(desc.indices), tup).trace()
+
+
 def _monomial_degree(m):
     return sum(Descriptor(*f).degree for f in m)
 
@@ -172,6 +184,11 @@ class TraceExpr:
         if isinstance(other, (int, Fraction)):
             other = te_const(other)
         return self + (-other)
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return te_const(other) - self
+        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -207,23 +224,18 @@ class TraceExpr:
         return sorted(self.terms, key=lambda m: (_monomial_degree(m), m))
 
     def evaluate(self, tup, cache=None):
-        """Evaluate on a tuple of octonions; exact in the tuple's ring."""
+        """Evaluate on a tuple of octonions, exact in its ring; cache maps
+        factors to their values."""
         ring = tup[0].ring
         if cache is None:
             cache = {}
-        memo = cache.setdefault("words", {})
         acc = ring.zero
         for m, c in self.terms.items():
             val = ring(c)
             for f in m:
                 fv = cache.get(f)
                 if fv is None:
-                    kind, idx = f
-                    if kind == "tr":
-                        fv = evaluate(left_normed(idx), tup, memo).trace()
-                    else:
-                        fv = evaluate(idx[0], tup).norm()
-                    cache[f] = fv
+                    fv = cache[f] = eval_descriptor(Descriptor(*f), tup)
                 val = val * fv
             acc = acc + val
         return acc
@@ -234,9 +246,8 @@ class TraceExpr:
         parts = []
         for m in self.monomials_sorted():
             c = self.terms[m]
-            factors = [Descriptor(*f).name() for f in m]
-            body = "*".join(factors) if factors else "1"
-            parts.append("%s*%s" % (c, body) if c != 1 or not factors else body)
+            body = "*".join(Descriptor(*f).name() for f in m)
+            parts.append("%s*%s" % (c, body) if body and c != 1 else body or str(c))
         return " + ".join(parts)
 
 

@@ -6,7 +6,7 @@ tolerances are the stated runtime budgets.
 import random
 import time
 from contextlib import contextmanager
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -155,14 +155,8 @@ def test_criterion_7_normalizer_soundness():
                     for _ in range(8)])
                 for _ in range(4))
             memo = {}
-            cache = {"words": memo}
-            for k in range(1, 5):
-                for J in combinations(range(1, 5), k):
-                    val = wd.evaluate(wd.left_normed(J), tup, memo).trace()
-                    cache[("tr", J)] = val % p if p else val
-            for i in range(1, 5):
-                val = tup[i - 1].norm()
-                cache[("n", (i,))] = val % p if p else val
+            cache = {desc: val % p if p else val
+                     for desc, val in inv.evaluate_family("S", tup, 4)}
             for w in words:
                 lhs = wd.evaluate(w, tup, memo).trace()
                 rhs = exprs[w].evaluate(tup, cache)
@@ -204,7 +198,7 @@ def test_criterion_9_indecomposability():
         assert target.multidegree(4) == (1, 1, 1, 1)
         gens = [(d.name(), inv.descriptor_polynomial(d, ring))
                 for d in inv.enumerate_set("S", 4, 3)]
-        ok, cert = sy.decomposability_check(target, gens, QQ)
+        ok, cert = sy.decomposability_check(target, gens)
         assert not ok and cert is None
 
 

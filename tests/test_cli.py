@@ -130,6 +130,63 @@ def test_parse_tuple_file_raises_only_parse_errors(header, rows):
     assert len(tup) == len(rows) and all(a.ring is ring for a in tup)
 
 
+_GOOD_HEADERS = ["field q", "field p=2", "field p=5", "field p=1000003"]
+_BAD_HEADERS = ["field p=4", "field p=x", "field", "notafield"]
+_GOOD_TOKENS = st.one_of(st.integers(-3, 3).map(str),
+                         st.sampled_from(["1/2", "-3/4", "0.5", "1000003"]))
+_BAD_TOKENS = st.sampled_from(["1/0", "1e3", "2E-1", "x", "--1"])
+
+
+@st.composite
+def _tuple_file(draw, header, n):
+    """A tuple file of n octonions, about half of them broken in one way:
+    a malformed header, a row of 7 or 9 scalars, a refused token, or no
+    rows.  A fraction such as 1/2 is also refused over GF(2)."""
+    rows = [draw(st.lists(_GOOD_TOKENS, min_size=8, max_size=8)) for _ in range(n)]
+    fault = draw(st.sampled_from([None, None, None, "header", "count", "token",
+                                  "empty"]))
+    if fault == "header":
+        header = draw(st.sampled_from(_BAD_HEADERS))
+    elif fault == "count":
+        rows[-1] = rows[-1][:7] if draw(st.booleans()) else rows[-1] + ["0"]
+    elif fault == "token":
+        rows[-1][draw(st.integers(0, 7))] = draw(_BAD_TOKENS)
+    elif fault == "empty":
+        rows = []
+    return "\n".join([header] + [" ".join(r) for r in rows]) + "\n"
+
+
+_EXIT_LAMBDAS = st.one_of(
+    st.tuples(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
+    .map(lambda ab: "%d,%d,%d" % (ab[0], ab[1], -ab[0] - ab[1])),
+    st.sampled_from(["1,-1,0", "0,0,0", "1,1,0", "1,-1", "1,-1,0,0", "a,b,c", "",
+                     "1.5,-1.5,0"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["eval", "separate", "limit"]), st.data())
+def test_exit_codes_on_generated_files(tmp_path_factory, command, data):
+    """Any tuple file ends in exit 0, 1 or 2, exit 2 prints nothing to
+    stdout, and no exception escapes main."""
+    header = data.draw(st.sampled_from(_GOOD_HEADERS))
+    n = data.draw(st.integers(1, 3))
+    d = tmp_path_factory.mktemp("exit")
+    a = write(d, "a.oct", data.draw(_tuple_file(header, n)))
+    b = write(d, "b.oct", data.draw(_tuple_file(
+        data.draw(st.sampled_from([header, "field q"])), n)))
+    family = data.draw(st.sampled_from(["S", "S0"]))
+    degree = str(data.draw(st.integers(1, 8)))
+    argv = {"eval": ["eval", a, "--family", family, "--degree", degree],
+            "separate": ["separate", a, b, "--family", family, "--degree", degree],
+            "limit": ["limit", a, "--lambda=" + data.draw(_EXIT_LAMBDAS)]}[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+
+
 def test_eval_command(tmp_path, capsys):
     path = write(tmp_path, "w.oct", WITNESS_P5)
     assert cli.main(["eval", path, "--degree", "2"]) == 0

@@ -176,6 +176,17 @@ def test_from_coords_coerces_through_ring():
         oc.from_coords(QQ, [f5(1)] * 8)
 
 
+def test_scale_coerces_its_scalar():
+    f5 = GF(5)
+    one = oc.identity(f5)
+    assert one.scale(Fraction(1, 2)) == one.scale(f5(3)) == one.scale(8)
+    assert oc.identity(QQ).scale(2) == oc.identity(QQ).scale(Fraction(2))
+    ring = PolynomialRing(f5)
+    z = generic_octonion(ring, 1)
+    assert z.scale(Fraction(1, 2)) == z.scale(ring(3)) == z.scale(f5(3))
+    assert z.scale(z.trace()).coords() == tuple(z.trace() * x for x in z.coords())
+
+
 _PRODUCT_RINGS = (GF(2), GF(3), GF(5), GF(1000003), GF(10 ** 14 + 31), QQ)
 
 

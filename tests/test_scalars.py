@@ -110,6 +110,16 @@ def test_from_fraction_integral_and_singular_denominators():
                 field(Fraction(2, den))
 
 
+def test_fraction_coerces_into_the_rationals_without_a_copy():
+    for f in (Fraction(0), Fraction(-7, 3), Fraction(10 ** 30 + 1, 2 ** 70)):
+        assert QQ(f) is f and QQ.from_fraction(f) is f
+        assert QQ(f) == f and hash(QQ(f)) == hash(f)
+    assert type(QQ(5)) is Fraction and QQ(5) == 5 and hash(QQ(5)) == hash(5)
+    # an int has a numerator and a denominator too
+    for p in (7, 10 ** 14 + 31):
+        assert GF(p).from_fraction(-10) == GF(p)(Fraction(-10)) == GF(p)(-10)
+
+
 def test_mixed_field_errors():
     with pytest.raises(ValueError):
         GF(2)(1) + GF(3)(1)

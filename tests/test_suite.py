@@ -23,5 +23,5 @@ def test_closed_class_table_needs_rank_dropping_limits(monkeypatch):
 def test_matrix_generator_flags_need_an_indecomposable_trace(monkeypatch):
     # a checker that calls everything decomposable makes tr(1,2,3) redundant
     monkeypatch.setattr(sy, "decomposability_check",
-                        lambda target, generators, field: (True, {}))
+                        lambda target, generators: (True, {}))
     assert not suite.check_matrix_generator_flags()

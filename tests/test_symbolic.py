@@ -16,8 +16,23 @@ def test_identities_over_rationals(name):
 
 @pytest.mark.parametrize("base", [GF(2), GF(5)])
 def test_identities_reexpanded_mod_p(base):
-    for r in sy.verify_all_identities(base):
+    for name in sy.IDENTITY_NAMES:
+        r = sy.verify_identity(name, base)
         assert r.ok, r
+
+
+def test_identity_table_covers_every_identity_and_base():
+    assert sy.IDENTITY_BASES == (QQ, GF(2), GF(5))
+    assert sy.identity_table() == [(name, True) for name in sy.IDENTITY_NAMES]
+
+
+def test_identity_table_row_fails_with_one_base(monkeypatch):
+    real = sy.verify_identity
+    monkeypatch.setattr(sy, "verify_identity", lambda name, base: (
+        real(name, base).ok and not (name == "trace-symmetry" and base is GF(5))))
+    rows = dict(sy.identity_table())
+    assert rows.pop("trace-symmetry") is False
+    assert all(rows.values())
 
 
 def test_unknown_identity_rejected():
@@ -26,7 +41,9 @@ def test_unknown_identity_rejected():
 
 
 def test_skew_symmetrization_coefficients_in_z_half():
-    poly = sy.skew_symmetrized_trace_polynomial()
+    ring = PolynomialRing(QQ)
+    poly = inv.q_prime(*(inv.generic_octonion(ring, i) for i in range(1, 5)),
+                       path="sym")
     assert coefficients_in_z_half(poly)
     assert not poly.is_zero()
 
@@ -45,7 +62,7 @@ def _s4_lower_generators(ring):
 def test_top_trace_not_decomposable():
     ring = PolynomialRing(QQ)
     target = inv.descriptor_polynomial(inv.Descriptor("tr", (1, 2, 3, 4)), ring)
-    ok, cert = sy.decomposability_check(target, _s4_lower_generators(ring), QQ)
+    ok, cert = sy.decomposability_check(target, _s4_lower_generators(ring))
     assert not ok and cert is None
 
 
@@ -54,7 +71,7 @@ def test_matrix_pair_trace_not_decomposable():
     target = inv.matrix_descriptor_polynomial(inv.Descriptor("tr", (1, 2)), ring)
     gens = [(d.name(), inv.matrix_descriptor_polynomial(d, ring))
             for d in inv.enumerate_set("S", 2, 1)]
-    ok, _ = sy.decomposability_check(target, gens, QQ)
+    ok, _ = sy.decomposability_check(target, gens)
     assert not ok
 
 
@@ -63,7 +80,7 @@ def test_square_trace_certificate():
     z1 = inv.generic_octonion(ring, 1)
     target = (z1 * z1).trace()
     gens = [("tr(1)", z1.trace()), ("n(1)", z1.norm())]
-    ok, cert = sy.decomposability_check(target, gens, QQ)
+    ok, cert = sy.decomposability_check(target, gens)
     assert ok
     assert cert == {("tr(1)", "tr(1)"): 1, ("n(1)",): -2}
 
@@ -73,7 +90,7 @@ def test_certificate_reevaluates_to_target():
     target = inv.descriptor_polynomial(inv.Descriptor("tr", (1, 2)), ring)
     sq = target * target
     gens = [("tr(1,2)", target)]
-    ok, cert = sy.decomposability_check(sq, gens, QQ)
+    ok, cert = sy.decomposability_check(sq, gens)
     assert ok
     total = ring.zero
     by_name = dict(gens)
@@ -91,13 +108,22 @@ def test_decomposability_over_prime_field():
     z1 = inv.generic_octonion(ring, 1)
     target = (z1 * z1).trace()
     gens = [("tr(1)", z1.trace()), ("n(1)", z1.norm())]
-    ok, cert = sy.decomposability_check(target, gens, base)
+    ok, cert = sy.decomposability_check(target, gens)
     assert ok
     assert cert[("n(1)",)] == base(-2)
+
+
+def test_decomposability_field_comes_from_the_target():
+    # GF(2): tr(Z^2) = tr(Z)^2, with no n(Z) term
+    ring = PolynomialRing(GF(2))
+    z1 = inv.generic_octonion(ring, 1)
+    ok, cert = sy.decomposability_check((z1 * z1).trace(),
+                                        [("tr(1)", z1.trace()), ("n(1)", z1.norm())])
+    assert ok and cert == {("tr(1)", "tr(1)"): GF(2).one}
 
 
 def test_inhomogeneous_generator_rejected():
     ring = PolynomialRing(QQ)
     bad = ring.var(1, 1) + ring.var(1, 1) * ring.var(1, 2)
     with pytest.raises(ValueError):
-        sy.decomposability_check(ring.var(1, 1), [("bad", bad)], QQ)
+        sy.decomposability_check(ring.var(1, 1), [("bad", bad)])

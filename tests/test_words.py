@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitoct import octonion as oc
 from splitoct import words as wd
@@ -205,6 +207,67 @@ def test_trace_expr_equals_scalar():
     assert wd.te_const(Fraction(1, 2)) == Fraction(1, 2)
     assert wd.te_tr((1,)) != 1
     assert wd.normalize_trace(1) != 0
+
+
+def test_trace_expr_scalar_on_the_left():
+    t = wd.te_tr((1,))
+    assert 1 - t == wd.te_const(1) - t == -(t - 1)
+    assert Fraction(1, 2) - t == -(t - Fraction(1, 2))
+    assert 1 + t == t + 1 and 2 * t == t * 2
+    with pytest.raises(TypeError):
+        1.5 - t
+    with pytest.raises(TypeError):
+        "x" - t
+
+
+def test_trace_expr_constant_prints_as_its_coefficient():
+    t = wd.te_tr((1,))
+    assert repr(wd.te_const(2)) == "2"
+    assert repr(wd.te_const(1)) == "1"
+    assert repr(t - 1) == "-1 + tr(1)"
+    assert repr(Fraction(1, 2) * wd.te_norm(1) + 3) == "3 + 1/2*n(1)"
+
+
+_TE_SCALARS = st.one_of(st.integers(-5, 5),
+                        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+_TE_ATOMS = st.one_of(
+    _TE_SCALARS.map(wd.te_const),
+    st.integers(1, 3).map(wd.te_norm),
+    st.sets(st.integers(1, 4), min_size=1, max_size=3).map(
+        lambda ix: wd.te_tr(sorted(ix))))
+_TRACE_EXPRS = st.recursive(_TE_ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, inner).map(lambda ab: ab[0] + ab[1]),
+    st.tuples(inner, inner).map(lambda ab: ab[0] * ab[1]),
+    st.tuples(_TE_SCALARS, inner).map(lambda sa: sa[0] * sa[1])), max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TRACE_EXPRS, _TRACE_EXPRS, _TRACE_EXPRS, _TE_SCALARS)
+def test_trace_expr_ring_laws(a, b, c, s):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and (a * 0).is_zero()
+    assert (a - a).is_zero() and (a - b) + b == a
+    k = wd.te_const(s)
+    assert s + a == a + s == k + a
+    assert s - a == k - a == -(a - s)
+    assert s * a == a * s == k * a
+
+
+def test_trace_expr_evaluate_caches_only_factor_values():
+    rng = random.Random(12)
+    tup = tuple(rand_oct_q(rng) for _ in range(3))
+    w = ((1, 2), (3, (1, 2)))
+    expr = wd.normalize_trace(w)
+    cache = {}
+    val = expr.evaluate(tup, cache)
+    assert val == wd.evaluate(w, tup).trace()
+    factors = {f for m in expr.terms for f in m}
+    assert set(cache) == factors
+    assert all(cache[f] == wd.eval_descriptor(wd.Descriptor(*f), tup)
+               for f in factors)
+    assert expr.evaluate(tup, cache) == val
 
 
 def test_reduce_mod_needs_a_prime():
