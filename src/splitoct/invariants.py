@@ -131,6 +131,11 @@ def q_prime(a1, a2, a3, a4, path="auto"):
     path "sym" averages the 24 signed trace terms (needs 1/24), path
     "combination" evaluates the expanded form (needs only 1/2), "auto"
     picks by characteristic.  Undefined in characteristic 2.
+
+    The orders (i, j, k, l) and (j, i, k, l) have opposite signs, so the
+    sym path sums 12 terms sgn * tr(([A_i, A_j] A_k) A_l) with i < j:
+    six commutators, then one product and one trace_mul per term.  It
+    never reads the combination side, which it checks.
     """
     ring = a1.ring
     if path == "auto":
@@ -138,13 +143,16 @@ def q_prime(a1, a2, a3, a4, path="auto"):
     if path == "sym":
         if ring.char != 0 and ring.char <= 3:
             raise ZeroDivisionError("24 is not invertible; use the combination path")
-        acc = ring.zero
         args = (a1, a2, a3, a4)
+        comm = {(i, j): args[i] * args[j] - args[j] * args[i]
+                for i, j in combinations(range(4), 2)}
+        acc = ring.zero
         for perm in permutations(range(4)):
-            sgn = _parity(perm)
-            term = (((args[perm[0]] * args[perm[1]]) * args[perm[2]])
-                    * args[perm[3]]).trace()
-            acc = acc + (term if sgn > 0 else -term)
+            i, j, k, l = perm
+            if i > j:
+                continue
+            term = (comm[i, j] * args[k]).trace_mul(args[l])
+            acc = acc + (term if _parity(perm) > 0 else -term)
         return acc * ring(Fraction(1, 24))
     if path == "combination":
         if ring.char == 2:

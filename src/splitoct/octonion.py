@@ -10,7 +10,9 @@ run in the same order.
 The product is one formula, _zorn.  Over GF(p) it runs on the residues
 and over QQ on the integer numerators scaled to a common denominator,
 with one reduction per result coordinate; over any other ring it runs
-on the ring elements themselves.
+on the ring elements themselves.  trace_mul reads only coordinates 0
+and 7 of _zorn, tr(ab) without the product, on the ring elements of
+any ring; the bilinear form q(a, b) = tr(a conj(b)) is one call of it.
 """
 
 from fractions import Fraction
@@ -98,6 +100,16 @@ class Octonion:
                 [x.numerator * (db // x.denominator) for x in other._c])]))
         return Octonion(ring, _zorn(self._c, other._c))
 
+    def trace_mul(self, other):
+        """tr(self * other): coordinates 0 and 7 of _zorn,
+        a0 b0 + a7 b7 + <a_u, b_v> + <a_v, b_u>, in 8 scalar products
+        instead of the 32 of the full product."""
+        self._check(other)
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._c
+        b0, b1, b2, b3, b4, b5, b6, b7 = other._c
+        return (a0 * b0 + a7 * b7 + (a1 * b4 + a2 * b5 + a3 * b6)
+                + (a4 * b1 + a5 * b2 + a6 * b3))
+
     def scale(self, s):
         s = self.ring(s)
         return Octonion(self.ring, tuple(s * x for x in self._c))
@@ -133,10 +145,9 @@ class Octonion:
 
 
 def q_form(a, b):
-    """The symmetric bilinear form q(a,b) = n(a+b) - n(a) - n(b)."""
-    a, b = a.coords(), b.coords()
-    return (a[0] * b[7] + b[0] * a[7]
-            - dot3(a[1:4], b[4:7]) - dot3(b[1:4], a[4:7]))
+    """The symmetric bilinear form q(a,b) = n(a+b) - n(a) - n(b),
+    which is tr(a conj(b))."""
+    return a.trace_mul(b.conj())
 
 
 def _unit(ring, k):

@@ -205,7 +205,7 @@ def nonclosedness_witnesses(ring):
 
 def gram_matrix(tup):
     """The symmetric matrix of pairwise traces tr(a_i a_j)."""
-    return [[(a * b).trace() for b in tup] for a in tup]
+    return [[a.trace_mul(b) for b in tup] for a in tup]
 
 
 # ---------------------------------------------------------------------------

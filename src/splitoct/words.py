@@ -144,13 +144,18 @@ class Descriptor(tuple):
 
 def eval_descriptor(desc, tup):
     """The descriptor's value on a tuple of octonions: the norm, or the
-    trace of the left-normed product."""
-    if max(desc.indices) > len(tup):  # a Descriptor's indices are >= 1
+    trace of the left-normed product.  tr(i1,...,ik) with k >= 2 is the
+    left-normed product of i1..i(k-1), then trace_mul by the last member,
+    so the last product is never formed."""
+    idx = desc.indices
+    if max(idx) > len(tup):  # a Descriptor's indices are >= 1
         raise IndexError("descriptor index %d exceeds tuple length %d"
-                         % (max(desc.indices), len(tup)))
+                         % (max(idx), len(tup)))
     if desc.kind == "n":
-        return tup[desc.indices[0] - 1].norm()
-    return evaluate(left_normed(desc.indices), tup).trace()
+        return tup[idx[0] - 1].norm()
+    if len(idx) == 1:
+        return tup[idx[0] - 1].trace()
+    return evaluate(left_normed(idx[:-1]), tup).trace_mul(tup[idx[-1] - 1])
 
 
 def _monomial_degree(m):
@@ -173,6 +178,8 @@ class TraceExpr:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = te_const(other)
+        elif not isinstance(other, TraceExpr):
+            return NotImplemented
         return TraceExpr(add_terms(self.terms, other.terms))
 
     __radd__ = __add__
@@ -183,6 +190,8 @@ class TraceExpr:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = te_const(other)
+        elif not isinstance(other, TraceExpr):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -195,6 +204,8 @@ class TraceExpr:
             if other == 0:
                 return TraceExpr()
             return TraceExpr({m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, TraceExpr):
+            return NotImplemented
         return TraceExpr(mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,48 @@ def test_evaluate_family_generic_octonions():
         assert list(inv.evaluate_family(family, tup, 3)) == \
             _reference_family(family, tup, 3)
     assert list(inv.evaluate_family("S0", tup, 1)) == []
+
+
+def test_eval_descriptor_matches_the_full_left_normed_product():
+    # the last factor enters by trace_mul; the reference forms every product
+    rng = random.Random(53)
+    tuples = [tuple(oc.from_coords(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                        for _ in range(8)]) for _ in range(4))]
+    for ring in _RINGS[1:] + (GF(7),):
+        tuples += [tuple(rand_oct(ring, rng) for _ in range(4)) for _ in range(3)]
+    poly = PolynomialRing(GF(5))
+    tuples.append(tuple(inv.generic_octonion(poly, i) for i in range(1, 5)))
+    descs = inv.enumerate_set("S", 4, 4)
+    assert len(descs) == 19
+    for tup in tuples:
+        for d in descs:
+            slow = (tup[d.indices[0] - 1].norm() if d.kind == "n"
+                    else wd.evaluate(wd.left_normed(d.indices), tup).trace())
+            assert inv.eval_descriptor(d, tup) == slow, (d, tup)
+
+
+def _q_prime_24_terms(args):
+    """The definition written out: the average over all 24 orders of
+    tr(((a_s1 a_s2) a_s3) a_s4), signed by the parity of the order."""
+    ring = args[0].ring
+    acc = ring.zero
+    for perm in permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
+        term = (((args[perm[0]] * args[perm[1]]) * args[perm[2]])
+                * args[perm[3]]).trace()
+        acc = acc - term if inversions % 2 else acc + term
+    return acc * ring(Fraction(1, 24))
+
+
+def test_q_prime_sym_path_is_the_24_term_average():
+    ring = PolynomialRing(QQ)
+    generic = tuple(inv.generic_octonion(ring, i) for i in range(1, 5))
+    assert inv.q_prime(*generic, path="sym") == _q_prime_24_terms(generic)
+    rng = random.Random(59)
+    for field in (GF(7), GF(1000003)):
+        for _ in range(15):
+            args = tuple(rand_oct(field, rng) for _ in range(4))
+            assert inv.q_prime(*args, path="sym") == _q_prime_24_terms(args)
 
 
 def test_q_prime_skew_symmetry():

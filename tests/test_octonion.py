@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitoct import group as gp
@@ -218,6 +218,58 @@ def test_integer_products_match_the_formula_on_ring_elements(pair):
             assert type(x) is Fraction
         else:
             assert type(x) is FpElement and x.field is ring
+
+
+@given(_octonion_pair())
+def test_trace_mul_is_the_trace_of_the_product(pair):
+    ring, a, b = pair
+    assert a.trace_mul(b) == (a * b).trace()
+
+
+_MONOMIAL_FACTOR = st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 2))
+
+
+@st.composite
+def _sparse_polynomial_octonion_pair(draw):
+    """Two octonions over QQ[z] or GF(5)[z] whose coordinates are zero
+    or sums of at most three monomials."""
+    base = draw(st.sampled_from((QQ, GF(5))))
+    ring = PolynomialRing(base)
+
+    def coordinate():
+        f = ring.zero
+        for c, factors in draw(st.lists(st.tuples(
+                st.integers(-3, 3), st.lists(_MONOMIAL_FACTOR, max_size=2)),
+                max_size=3)):
+            term = ring(base(c))
+            for i, j, e in factors:
+                term = term * ring.var(i, j) ** e
+            f = f + term
+        return f
+
+    return tuple(oc.Octonion(ring, tuple(coordinate() for _ in range(8)))
+                 for _ in range(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_polynomial_octonion_pair())
+def test_trace_mul_is_the_trace_of_the_product_over_polynomials(pair):
+    a, b = pair
+    assert a.trace_mul(b) == (a * b).trace()
+
+
+def test_trace_mul_refuses_what_the_product_refuses():
+    a = oc.identity(QQ)
+    for other in (oc.identity(GF(2)), oc.identity(PolynomialRing(QQ))):
+        with pytest.raises(ValueError):
+            a * other
+        with pytest.raises(ValueError):
+            a.trace_mul(other)
+    for other in (1, Fraction(1, 2), GF(5)(1), "x", a.coords()):
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            a.trace_mul(other)
 
 
 _DIGEST_RINGS = (QQ, GF(2), GF(5), GF(10 ** 14 + 31), PolynomialRing(QQ))

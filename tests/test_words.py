@@ -220,6 +220,15 @@ def test_trace_expr_scalar_on_the_left():
         "x" - t
 
 
+@pytest.mark.parametrize("op", [
+    lambda t: t + 1.5, lambda t: 1.5 + t, lambda t: t - 1.5,
+    lambda t: t * 1.5, lambda t: 1.5 * t,
+], ids=["add", "radd", "sub", "mul", "rmul"])
+def test_trace_expr_refuses_a_float_operand(op):
+    with pytest.raises(TypeError):
+        op(wd.te_tr((1,)))
+
+
 def test_trace_expr_constant_prints_as_its_coefficient():
     t = wd.te_tr((1,))
     assert repr(wd.te_const(2)) == "2"
