@@ -4,7 +4,11 @@ of the degree-4 trace, and the bridge to 2x2 matrix invariants.
 A descriptor (words.Descriptor) is either n(i) or tr(i1,...,ik) with
 strictly increasing indices; the trace is always taken of the
 left-normed product.  words.eval_descriptor, re-exported here, evaluates
-one descriptor; evaluate_family is the fast path over a whole family.
+one descriptor on octonions; evaluate_family evaluates a whole family on
+rows of integers lifted once from the tuple (residues over GF(p),
+numerators over QQ; the ring elements over any other ring), with one
+row product per trace below the top length and only a trace at the top,
+and is checked against eval_descriptor.
 The matrix side uses the same descriptors, with n(i) read as det and
 traces of associative products of generic 2x2 matrices.
 """
@@ -55,15 +59,17 @@ def enumerate_set(family, n, d):
             raise ValueError(
                 "family %s with n=%d, d=%d has at least %d descriptors, more "
                 "than the limit of %d" % (family, n, d, size, MAX_FAMILY_SIZE))
+    # the indices are valid by construction, so the Descriptors skip the
+    # checks of Descriptor(...)
+    make = tuple.__new__
     out = []
     # no descriptor has degree above max(n, 2)
     for deg in range(1, min(d, max(n, 2)) + 1):
         if deg == 2:
-            for i in range(1, n + 1):
-                out.append(Descriptor("n", (i,)))
+            out += [make(Descriptor, ("n", (i,))) for i in range(1, n + 1)]
         if deg >= min_len:
-            for seq in combinations(range(1, n + 1), deg):
-                out.append(Descriptor("tr", seq))
+            out += [make(Descriptor, ("tr", seq))
+                    for seq in combinations(range(1, n + 1), deg)]
     return out
 
 
@@ -71,27 +77,52 @@ def evaluate_family(family, tup, d):
     """Yield (descriptor, value) for the family on the tuple, lazily and
     in the order of enumerate_set.
 
-    The left-normed product of tr(i1,...,ik) is the stored product of
-    (i1,...,i(k-1)) times one more member, so each trace costs one
-    octonion product.  Only the products of the previous length are kept
-    while those of the next length are built.  eval_descriptor is the
-    reference this is checked against.
+    The tuple is lifted once into rows (octonion._lift: residues over
+    GF(p), each member's numerators over its own lcm denominator over QQ,
+    the ring elements otherwise), and every product runs octonion._zorn
+    on rows: the row of tr(i1,...,ik) is the stored row of (i1,...,i(k-1))
+    times one more member, and only the rows of the previous length are
+    kept while those of the next length are built.  The last length,
+    min(d, n), needs no row, only its trace: octonion._zorn_trace.  A value
+    becomes a ring element when it is yielded, not before.
+    eval_descriptor is the reference this is checked against.
+
+    Raises ValueError at the call, before any work, for an empty tuple,
+    members over different rings, or a family enumerate_set refuses.
     """
-    prev = {(i,): a for i, a in enumerate(tup, 1)}
+    ring = oc.ring_of(tup)
+    descs = enumerate_set(family, len(tup), d)
+    return _family_values(descs, ring, tup, min(d, len(tup)))
+
+
+def _family_values(descs, ring, tup, top):
+    zorn, zorn_trace = oc._zorn, oc._zorn_trace
+    rows, scales, p, wrap = oc._lift(ring, tup)
+    prev = {(i,): (r, s) for i, (r, s) in enumerate(zip(rows, scales), 1)}
     cur = {}
-    k = 2
-    for desc in enumerate_set(family, len(tup), d):
-        idx = desc.indices
-        if desc.kind == "n":
-            yield desc, tup[idx[0] - 1].norm()
+    level = 2
+    for desc in descs:
+        kind, idx = desc
+        b, sb = rows[idx[-1] - 1], scales[idx[-1] - 1]
+        k = len(idx)
+        if kind == "n":
+            yield desc, wrap(b[0] * b[7] - oc.dot3(b[1:4], b[4:7]), sb * sb)
             continue
-        if len(idx) == 1:
-            yield desc, tup[idx[0] - 1].trace()
+        if k == 1:
+            yield desc, wrap(b[0] + b[7], sb)
             continue
-        if len(idx) > k:
-            prev, cur, k = cur, {}, len(idx)
-        prod = cur[idx] = prev[idx[:-1]] * tup[idx[-1] - 1]
-        yield desc, prod.trace()
+        if k > level:
+            prev, cur, level = cur, {}, k
+        a, sa = prev[idx[:-1]]
+        s = sa * sb
+        if k == top:
+            yield desc, wrap(zorn_trace(a, b), s)
+            continue
+        c = zorn(a, b)
+        if p:
+            c = [v % p for v in c]
+        cur[idx] = c, s
+        yield desc, wrap(c[0] + c[7], s)
 
 
 def generic_octonion(ring, i):

@@ -7,12 +7,17 @@ of the polynomial ring; coords() returns that tuple.  The basis is (e1,
 u1, u2, u3, v1, v2, v3, e2), and the columns of automorphism matrices
 run in the same order.
 
-The product is one formula, _zorn.  Over GF(p) it runs on the residues
-and over QQ on the integer numerators scaled to a common denominator,
-with one reduction per result coordinate; over any other ring it runs
-on the ring elements themselves.  trace_mul reads only coordinates 0
-and 7 of _zorn, tr(ab) without the product, on the ring elements of
-any ring; the bilinear form q(a, b) = tr(a conj(b)) is one call of it.
+The product is one formula, _zorn, and the trace of a product another,
+_zorn_trace: coordinates 0 and 7 of _zorn, 8 scalar products instead of
+32.  Both run on rows of scalars that _lift makes, the one place that
+picks them by ring: over GF(p) the residues, over QQ the numerators of
+each octonion scaled to its own lcm denominator, over any other ring the
+ring elements themselves; _lift's wrap turns a value back into a ring
+element.  The product lifts its two factors and wraps each result
+coordinate; invariants.evaluate_family lifts a whole tuple once and
+wraps only the values it yields.  trace_mul runs _zorn_trace on the ring
+elements of any ring; the bilinear form q(a, b) = tr(a conj(b)) is one
+call of it.  ring_of is the one check that a tuple lives over one ring.
 """
 
 from fractions import Fraction
@@ -23,7 +28,7 @@ from .scalars import QQ, PrimeField
 
 __all__ = [
     "Octonion", "dot3", "cross3", "basis", "identity", "zero",
-    "unit_e", "unit_u", "unit_v", "from_coords", "q_form",
+    "unit_e", "unit_u", "unit_v", "from_coords", "q_form", "ring_of",
 ]
 
 
@@ -52,6 +57,58 @@ def _zorn(a, b):
             b0 * a5 + a7 * b5 + (a3 * b1 - a1 * b3),
             b0 * a6 + a7 * b6 + (a1 * b2 - a2 * b1),
             a7 * b7 + (a4 * b1 + a5 * b2 + a6 * b3))
+
+
+def _zorn_trace(a, b):
+    """Coordinate 0 plus coordinate 7 of _zorn(a, b), the trace of the
+    product without the product: a0 b0 + a7 b7 + <a_u, b_v> + <a_v, b_u>."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    return (a0 * b0 + a7 * b7 + (a1 * b4 + a2 * b5 + a3 * b6)
+            + (a4 * b1 + a5 * b2 + a6 * b3))
+
+
+def _lift(ring, octs):
+    """The rows _zorn runs on for octonions over ring:
+    (rows, scales, p, wrap).
+
+    Over GF(p) a row holds the residues, p is the modulus to reduce a row
+    by, and wrap(v, s) is ring.elem(v % p).  Over QQ a row holds the
+    numerators of one octonion scaled to its own lcm denominator s, and
+    wrap(v, s) is Fraction(v, s); a product's scale is the product of its
+    factors' scales, and a norm's the square of its octonion's.  Over any
+    other ring a row holds the ring elements and wrap returns v.  Only GF(p)
+    has a p; every scale but QQ's is 1.
+    """
+    if type(ring) is PrimeField:
+        p, elem = ring.p, ring.elem
+        return ([[x.r for x in a._c] for a in octs], [1] * len(octs), p,
+                lambda v, s: elem(v % p))
+    if ring is QQ:
+        rows, scales = [], []
+        for a in octs:
+            s = lcm(*[x.denominator for x in a._c])
+            rows.append([x.numerator * (s // x.denominator) for x in a._c])
+            scales.append(s)
+        return rows, scales, None, Fraction
+    return [a._c for a in octs], [1] * len(octs), None, lambda v, s: v
+
+
+def ring_of(*tuples):
+    """The one ring of every octonion in the tuples.
+
+    Raises ValueError for an empty tuple, tuples of unequal lengths or
+    octonions over different rings.
+    """
+    n = len(tuples[0])
+    if n == 0:
+        raise ValueError("need at least one octonion")
+    if any(len(tup) != n for tup in tuples):
+        raise ValueError("tuples must have equal length")
+    ring = tuples[0][0].ring
+    if any(a.ring is not ring for tup in tuples for a in tup):
+        raise ValueError("tuple members live over different rings")
+    return ring
 
 
 class Octonion:
@@ -83,32 +140,19 @@ class Octonion:
         return Octonion(self.ring, tuple(map(neg, self._c)))
 
     def __mul__(self, other):
-        """_zorn on the residues over GF(p), on the common-denominator
-        numerators over QQ, and on the ring elements otherwise."""
+        """_zorn on the rows _lift makes of the two factors, each result
+        coordinate wrapped back into the ring."""
         self._check(other)
         ring = self.ring
-        if type(ring) is PrimeField:
-            p, elem = ring.p, ring.elem
-            return Octonion(ring, tuple([elem(v % p) for v in _zorn(
-                [x.r for x in self._c], [x.r for x in other._c])]))
-        if ring is QQ:
-            da = lcm(*[x.denominator for x in self._c])
-            db = lcm(*[x.denominator for x in other._c])
-            d = da * db
-            return Octonion(ring, tuple([Fraction(v, d) for v in _zorn(
-                [x.numerator * (da // x.denominator) for x in self._c],
-                [x.numerator * (db // x.denominator) for x in other._c])]))
-        return Octonion(ring, _zorn(self._c, other._c))
+        (a, b), (sa, sb), _p, wrap = _lift(ring, (self, other))
+        s = sa * sb
+        return Octonion(ring, tuple([wrap(v, s) for v in _zorn(a, b)]))
 
     def trace_mul(self, other):
-        """tr(self * other): coordinates 0 and 7 of _zorn,
-        a0 b0 + a7 b7 + <a_u, b_v> + <a_v, b_u>, in 8 scalar products
-        instead of the 32 of the full product."""
+        """tr(self * other) by _zorn_trace on the ring elements, 8 scalar
+        products instead of the 32 of the full product."""
         self._check(other)
-        a0, a1, a2, a3, a4, a5, a6, a7 = self._c
-        b0, b1, b2, b3, b4, b5, b6, b7 = other._c
-        return (a0 * b0 + a7 * b7 + (a1 * b4 + a2 * b5 + a3 * b6)
-                + (a4 * b1 + a5 * b2 + a6 * b3))
+        return _zorn_trace(self._c, other._c)
 
     def scale(self, s):
         s = self.ring(s)

@@ -19,25 +19,8 @@ __all__ = [
 ]
 
 
-def _ring_of(*tuples):
-    """The one ring of every octonion in the tuples.
-
-    Raises ValueError for an empty tuple, tuples of unequal lengths or
-    octonions over different rings.
-    """
-    n = len(tuples[0])
-    if n == 0:
-        raise ValueError("need at least one octonion")
-    if any(len(tup) != n for tup in tuples):
-        raise ValueError("tuples must have equal length")
-    ring = tuples[0][0].ring
-    if any(a.ring is not ring for tup in tuples for a in tup):
-        raise ValueError("tuple members live over different rings")
-    return ring
-
-
 def _field_of(tup):
-    ring = _ring_of(tup)
+    ring = oc.ring_of(tup)
     if not ring.is_field:
         raise ValueError("this operation needs a field")
     return ring
@@ -93,7 +76,7 @@ def separate(a_tup, b_tup, family="S", d=8):
     """Evaluate the degree-filtered family on both tuples in lockstep; the
     first descriptor with differing values becomes the witness, and no
     later descriptor is evaluated."""
-    _ring_of(a_tup, b_tup)
+    oc.ring_of(a_tup, b_tup)
     for (desc, va), (_desc, vb) in zip(evaluate_family(family, a_tup, d),
                                        evaluate_family(family, b_tup, d)):
         if va != vb:
@@ -126,7 +109,7 @@ def limit(lam, tup):
     the limit keeps exponent-zero coordinates and zeroes the positive ones.
     """
     exps = gp.weights(lam)
-    ring = _ring_of(tup)
+    ring = oc.ring_of(tup)
     zero = ring.zero
     out = []
     for a in tup:
@@ -149,7 +132,7 @@ def theta_curve(lam, tup, t):
     polynomial in t and its constant term is the limit.
     """
     exps = gp.weights(lam)
-    base = _ring_of(tup)
+    base = oc.ring_of(tup)
     # a polynomial t carries its ring; a scalar t lies in the tuple's ring
     ring = getattr(t, "ring", base)
     out = []
@@ -220,7 +203,7 @@ def orbit_equal_oracle(a_tup, b_tup):
     The candidates are narrowed one member at a time, so the peak memory
     stays near one image of the group (about 1.5 MB) at any length."""
     field = GF(2)
-    if _ring_of(a_tup, b_tup) is not field:
+    if oc.ring_of(a_tup, b_tup) is not field:
         raise ValueError("oracle tuples must live over GF(2)")
     mats, _words = gp.enumerate_group_array(2)
     # the elements mapping every member so far onto its partner, in BFS

@@ -245,19 +245,24 @@ def test_family_size_limit(tmp_path, capsys):
 
 
 def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):
-    calls = []
-    mul = oc.Octonion.__mul__
+    calls = {"mul": 0, "zorn": 0, "zorn_trace": 0}
 
-    def counting_mul(a, b):
-        calls.append(1)
-        return mul(a, b)
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(oc.Octonion, "__mul__", counting_mul)
+    monkeypatch.setattr(oc.Octonion, "__mul__", counting("mul", oc.Octonion.__mul__))
+    monkeypatch.setattr(oc, "_zorn", counting("zorn", oc._zorn))
+    monkeypatch.setattr(oc, "_zorn_trace", counting("zorn_trace", oc._zorn_trace))
     path = write(tmp_path, "t.oct", _tuple_text(5, 12))
     assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3808
-    # one product per trace of length 2..8 in 12 letters
-    assert len(calls) == 3784
+    # the family runs on lifted rows, never through Octonion.__mul__: one
+    # full product per trace of length 2..7 in 12 letters, and only the
+    # trace for each of the 495 of length 8
+    assert calls == {"mul": 0, "zorn": 3289, "zorn_trace": 495}
 
 
 def test_separate_mismatched_fields(tmp_path, capsys):

@@ -119,24 +119,74 @@ def _reference_family(family, tup, d):
             for desc in inv.enumerate_set(family, len(tup), d)]
 
 
-_RINGS = (QQ, GF(2), GF(5), GF(10 ** 14 + 31))
+_RINGS = (QQ, GF(2), GF(5), GF(10 ** 14 + 31), GF(2 ** 61 - 1), GF(10 ** 24 + 7))
+# one distinct prime denominator per QQ member, the worst case for a
+# common denominator over the whole tuple
+_PRIMES_NEAR_1E6 = (999907, 999917, 999931, 999953, 999959, 999961, 999979,
+                    999983, 1000003, 1000033)
 
 
-@settings(max_examples=40, deadline=None)
+def _assert_family_matches(family, tup, d):
+    got = list(inv.evaluate_family(family, tup, d))
+    ref = _reference_family(family, tup, d)
+    assert got == ref
+    assert [type(v) for _desc, v in got] == [type(v) for _desc, v in ref]
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_evaluate_family_matches_eval_descriptor(data):
     family = data.draw(st.sampled_from(("S", "S0")))
     ring = data.draw(st.sampled_from(_RINGS))
-    n = data.draw(st.integers(1, 6))
-    d = data.draw(st.integers(1, 8))
-    coord = (st.fractions(max_denominator=5).filter(lambda c: -9 <= c <= 9)
-             if ring is QQ else st.integers(0, ring.p - 1))
-    tup = tuple(oc.from_coords(ring, [ring(c) for c in
-                                      data.draw(st.lists(coord, min_size=8,
-                                                         max_size=8))])
-                for _ in range(n))
-    assert list(inv.evaluate_family(family, tup, d)) == \
-        _reference_family(family, tup, d)
+    n = data.draw(st.integers(1, 8))
+    # d = n reaches the top trace, tr(1,...,n)
+    d = data.draw(st.one_of(st.just(n), st.integers(1, 8)))
+    if ring is QQ and data.draw(st.booleans()):
+        dens = data.draw(st.permutations(_PRIMES_NEAR_1E6))
+        coords = [[Fraction(c, den) for c in data.draw(
+            st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=8, max_size=8))]
+            for den in dens[:n]]
+    else:
+        coord = (st.fractions(max_denominator=5).filter(lambda c: -9 <= c <= 9)
+                 if ring is QQ else st.integers(0, ring.p - 1))
+        coords = [data.draw(st.lists(coord, min_size=8, max_size=8))
+                  for _ in range(n)]
+    tup = tuple(oc.from_coords(ring, [ring(c) for c in cs]) for cs in coords)
+    _assert_family_matches(family, tup, d)
+
+
+def test_evaluate_family_to_the_top_trace():
+    # d = n for n up to 8: every length below n forms rows, n only a trace
+    rng = random.Random(61)
+    for n in range(1, 9):
+        for ring in _RINGS:
+            if ring is QQ:
+                tup = tuple(oc.from_coords(QQ, [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                         den) for _ in range(8)])
+                            for den in _PRIMES_NEAR_1E6[:n])
+            else:
+                tup = tuple(rand_oct(ring, rng) for _ in range(n))
+            for family in ("S", "S0"):
+                _assert_family_matches(family, tup, n)
+
+
+def test_evaluate_family_refuses_empty_and_mixed_tuples():
+    u1, v1 = oc.unit_u(GF(5), 1), oc.unit_v(GF(7), 1)
+    for d in (1, 2):
+        for family in ("S", "S0"):
+            for tup in ((), (u1, v1), (u1, oc.unit_v(QQ, 1))):
+                # refused at the call, before anything is evaluated
+                with pytest.raises(ValueError):
+                    inv.evaluate_family(family, tup, d)
+
+
+def test_enumerate_set_builds_valid_descriptors():
+    for family in ("S", "S0"):
+        for n in range(1, 9):
+            for d in range(1, 9):
+                descs = inv.enumerate_set(family, n, d)
+                assert all(type(x) is inv.Descriptor for x in descs)
+                assert descs == [inv.Descriptor(*x) for x in descs]
 
 
 def test_evaluate_family_generic_octonions():

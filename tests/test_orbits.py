@@ -85,6 +85,26 @@ def test_separate_validations():
         ob.separate((oc.zero(QQ),), (oc.zero(GF(2)),))
 
 
+def test_separate_at_a_norm_forms_no_product(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_zorn", "_zorn_trace"):
+        monkeypatch.setattr(oc, name, counting(getattr(oc, name)))
+    monkeypatch.setattr(oc.Octonion, "__mul__", counting(oc.Octonion.__mul__))
+    # the same traces, norms 0 and -1 at n(1)
+    a = (oc.unit_u(QQ, 1), oc.identity(QQ), oc.unit_v(QQ, 2))
+    b = (oc.unit_u(QQ, 1) + oc.unit_v(QQ, 1),) + a[1:]
+    report = ob.separate(a, b, "S", 3)
+    assert report.witness.name() == "n(1)" and report.values == (0, -1)
+    assert calls == []
+
+
 def test_tuple_functions_refuse_empty_and_mixed_tuples():
     u1, v1 = oc.unit_u(QQ, 1), oc.unit_v(GF(5), 1)
     calls = (ob.rank, ob.algebra_closure,
