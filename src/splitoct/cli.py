@@ -3,12 +3,13 @@
 Tuple files are plain text: a header line "field q" (rationals) or
 "field p=<prime>", then one octonion per line as 8 whitespace-separated
 scalars in the order alpha u1 u2 u3 v1 v2 v3 beta.  '#' starts a
-comment.  A scalar is an integer, a decimal or num/den; exponent
-notation is refused.  Negative literals are accepted in any field and
-reduced.
+comment.  A scalar is an integer, a decimal or num/den in ASCII digits
+with an optional sign (_SCALAR); anything else is refused.  Negative
+literals are accepted in any field and reduced.
 """
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -29,11 +30,14 @@ class ParseError(Exception):
     pass
 
 
+# Fraction alone would also take an exponent (Fraction("1e999999999")
+# builds an integer of a billion digits), "_" separators and any Unicode digit
+_SCALAR = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def _parse_scalar(ring, token, lineno):
     try:
-        # exponent notation is refused: Fraction("1e999999999") would
-        # build an integer of a billion digits
-        if "e" in token.lower():
+        if not _SCALAR.fullmatch(token):
             raise ValueError(token)
         frac = Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -78,7 +82,7 @@ def parse_tuple_file(text):
             raise ParseError("line %d: expected 8 scalars, got %d"
                              % (lineno, len(tokens)))
         coords = [_parse_scalar(ring, t, lineno) for t in tokens]
-        octs.append(oc.from_coords(ring, coords))
+        octs.append(oc.Octonion(ring, tuple(coords)))
     if ring is None:
         raise ParseError("missing 'field' header line")
     if not octs:

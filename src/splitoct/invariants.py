@@ -4,22 +4,21 @@ of the degree-4 trace, and the bridge to 2x2 matrix invariants.
 A descriptor (words.Descriptor) is either n(i) or tr(i1,...,ik) with
 strictly increasing indices; the trace is always taken of the
 left-normed product.  words.eval_descriptor, re-exported here, evaluates
-one descriptor on octonions; evaluate_family evaluates a whole family on
-rows of integers lifted once from the tuple (residues over GF(p),
-numerators over QQ; the ring elements over any other ring), with one
-row product per trace below the top length and only a trace at the top,
-and is checked against eval_descriptor.
+one descriptor on ring elements; evaluate_family evaluates a whole
+family on integer rows that the private _lift makes once per tuple.  It
+is checked against eval_descriptor, which shares none of the lift, its
+scales or its wrap, only the formulas octonion._zorn and _zorn_trace.
 The matrix side uses the same descriptors, with n(i) read as det and
 traces of associative products of generic 2x2 matrices.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm
 
 from . import octonion as oc
 from . import words as wd
-from .scalars import Polynomial
+from .scalars import QQ, Polynomial, PrimeField
 from .words import Descriptor, eval_descriptor
 
 __all__ = [
@@ -77,15 +76,14 @@ def evaluate_family(family, tup, d):
     """Yield (descriptor, value) for the family on the tuple, lazily and
     in the order of enumerate_set.
 
-    The tuple is lifted once into rows (octonion._lift: residues over
-    GF(p), each member's numerators over its own lcm denominator over QQ,
-    the ring elements otherwise), and every product runs octonion._zorn
-    on rows: the row of tr(i1,...,ik) is the stored row of (i1,...,i(k-1))
-    times one more member, and only the rows of the previous length are
-    kept while those of the next length are built.  The last length,
-    min(d, n), needs no row, only its trace: octonion._zorn_trace.  A value
-    becomes a ring element when it is yielded, not before.
-    eval_descriptor is the reference this is checked against.
+    The tuple is lifted once into rows (_lift), and every product runs
+    octonion._zorn on rows: the row of tr(i1,...,ik) is the stored row of
+    (i1,...,i(k-1)) times one more member, and only the rows of the
+    previous length are kept while those of the next length are built.
+    The last length, min(d, n), needs no row, only its trace:
+    octonion._zorn_trace.  A value becomes a ring element when it is
+    yielded, not before.  eval_descriptor, on ring elements, is the
+    reference this is checked against.
 
     Raises ValueError at the call, before any work, for an empty tuple,
     members over different rings, or a family enumerate_set refuses.
@@ -97,7 +95,7 @@ def evaluate_family(family, tup, d):
 
 def _family_values(descs, ring, tup, top):
     zorn, zorn_trace = oc._zorn, oc._zorn_trace
-    rows, scales, p, wrap = oc._lift(ring, tup)
+    rows, scales, p, wrap = _lift(ring, tup)
     prev = {(i,): (r, s) for i, (r, s) in enumerate(zip(rows, scales), 1)}
     cur = {}
     level = 2
@@ -123,6 +121,32 @@ def _family_values(descs, ring, tup, top):
             c = [v % p for v in c]
         cur[idx] = c, s
         yield desc, wrap(c[0] + c[7], s)
+
+
+def _lift(ring, octs):
+    """The rows octonion._zorn runs on for octonions over ring:
+    (rows, scales, p, wrap).
+
+    Over GF(p) a row holds the residues, p is the modulus to reduce a row
+    by, and wrap(v, s) is ring.elem(v % p).  Over QQ a row holds the
+    numerators of one octonion scaled to its own lcm denominator s, and
+    wrap(v, s) is Fraction(v, s); a product's scale is the product of its
+    factors' scales, and a norm's the square of its octonion's.  Over any
+    other ring a row holds the ring elements and wrap returns v.  Only GF(p)
+    has a p; every scale but QQ's is 1.
+    """
+    if type(ring) is PrimeField:
+        p, elem = ring.p, ring.elem
+        return ([[x.r for x in a._c] for a in octs], [1] * len(octs), p,
+                lambda v, s: elem(v % p))
+    if ring is QQ:
+        rows, scales = [], []
+        for a in octs:
+            s = lcm(*[x.denominator for x in a._c])
+            rows.append([x.numerator * (s // x.denominator) for x in a._c])
+            scales.append(s)
+        return rows, scales, None, Fraction
+    return [a._c for a in octs], [1] * len(octs), None, lambda v, s: v
 
 
 def generic_octonion(ring, i):

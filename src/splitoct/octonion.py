@@ -9,22 +9,16 @@ run in the same order.
 
 The product is one formula, _zorn, and the trace of a product another,
 _zorn_trace: coordinates 0 and 7 of _zorn, 8 scalar products instead of
-32.  Both run on rows of scalars that _lift makes, the one place that
-picks them by ring: over GF(p) the residues, over QQ the numerators of
-each octonion scaled to its own lcm denominator, over any other ring the
-ring elements themselves; _lift's wrap turns a value back into a ring
-element.  The product lifts its two factors and wraps each result
-coordinate; invariants.evaluate_family lifts a whole tuple once and
-wraps only the values it yields.  trace_mul runs _zorn_trace on the ring
-elements of any ring; the bilinear form q(a, b) = tr(a conj(b)) is one
-call of it.  ring_of is the one check that a tuple lives over one ring.
+32.  Both run on the ring elements themselves, by the ring's own
+arithmetic, over every ring and with no lift: a * b is _zorn on the two
+coordinate tuples, and trace_mul is _zorn_trace on them.
+invariants.evaluate_family runs the same two formulas on integer rows
+that a lift private to it makes from a tuple.  The bilinear form
+q(a, b) = tr(a conj(b)) is one call of trace_mul.  ring_of is the one
+check that a tuple lives over one ring.
 """
 
-from fractions import Fraction
-from math import lcm
 from operator import add, neg, sub
-
-from .scalars import QQ, PrimeField
 
 __all__ = [
     "Octonion", "dot3", "cross3", "basis", "identity", "zero",
@@ -66,32 +60,6 @@ def _zorn_trace(a, b):
     b0, b1, b2, b3, b4, b5, b6, b7 = b
     return (a0 * b0 + a7 * b7 + (a1 * b4 + a2 * b5 + a3 * b6)
             + (a4 * b1 + a5 * b2 + a6 * b3))
-
-
-def _lift(ring, octs):
-    """The rows _zorn runs on for octonions over ring:
-    (rows, scales, p, wrap).
-
-    Over GF(p) a row holds the residues, p is the modulus to reduce a row
-    by, and wrap(v, s) is ring.elem(v % p).  Over QQ a row holds the
-    numerators of one octonion scaled to its own lcm denominator s, and
-    wrap(v, s) is Fraction(v, s); a product's scale is the product of its
-    factors' scales, and a norm's the square of its octonion's.  Over any
-    other ring a row holds the ring elements and wrap returns v.  Only GF(p)
-    has a p; every scale but QQ's is 1.
-    """
-    if type(ring) is PrimeField:
-        p, elem = ring.p, ring.elem
-        return ([[x.r for x in a._c] for a in octs], [1] * len(octs), p,
-                lambda v, s: elem(v % p))
-    if ring is QQ:
-        rows, scales = [], []
-        for a in octs:
-            s = lcm(*[x.denominator for x in a._c])
-            rows.append([x.numerator * (s // x.denominator) for x in a._c])
-            scales.append(s)
-        return rows, scales, None, Fraction
-    return [a._c for a in octs], [1] * len(octs), None, lambda v, s: v
 
 
 def ring_of(*tuples):
@@ -140,13 +108,9 @@ class Octonion:
         return Octonion(self.ring, tuple(map(neg, self._c)))
 
     def __mul__(self, other):
-        """_zorn on the rows _lift makes of the two factors, each result
-        coordinate wrapped back into the ring."""
+        """_zorn on the ring elements of the two factors."""
         self._check(other)
-        ring = self.ring
-        (a, b), (sa, sb), _p, wrap = _lift(ring, (self, other))
-        s = sa * sb
-        return Octonion(ring, tuple([wrap(v, s) for v in _zorn(a, b)]))
+        return Octonion(self.ring, _zorn(self._c, other._c))
 
     def trace_mul(self, other):
         """tr(self * other) by _zorn_trace on the ring elements, 8 scalar

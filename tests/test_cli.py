@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,9 @@ def test_parse_tuple_file_rationals():
     assert ring is QQ
     c = tup[0].coords()
     assert c[0] == QQ(1) / 2 and c[7] == -3
+    _ring, tup = cli.parse_tuple_file("field q\n-3 +5 0.5 .5 5. -3/4 1000003 -.25\n")
+    assert tup[0].coords() == tuple(map(Fraction, (-3, 5, "1/2", "1/2", 5, "-3/4",
+                                                   1000003, "-1/4")))
 
 
 def test_parse_tuple_file_prime_field_reduces_negatives():
@@ -105,6 +109,10 @@ def test_parse_tuple_file_comments_and_fractions_mod_p():
     ("field q\n", "no octonions"),
     ("field q\n1e4000000 0 0 0 0 0 0 0\n", "line 2"),
     ("field q\n0 1E-4000000 0 0 0 0 0 0\n", "line 2"),
+    ("field q\n1_000 0 0 0 0 0 0 0\n", "line 2"),
+    # Arabic-Indic five and zero, which Fraction reads as 5 and 0
+    ("field q\n\u0665 0 0 0 0 0 0 0\n", "line 2"),
+    ("field p=5\n0 0 0 0 0 0 0 \u0660\n", "line 2"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(cli.ParseError) as err:

