@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from splitoct import group as gp
 from splitoct import octonion as oc
+from splitoct import invariants as inv
 from splitoct import linalg
 from splitoct.invariants import generic_octonion
 from splitoct.scalars import GF, QQ, FpElement, PolynomialRing
@@ -207,15 +208,28 @@ def _octonion_pair(draw):
 
 
 @given(_octonion_pair())
-def test_trace_mul_is_the_trace_of_the_product(pair):
+def test_integer_products_match_the_formula_on_ring_elements(pair):
+    """The residue rows over GF(p) and the scaled-numerator rows over QQ
+    that the family evaluator lifts to, multiplied by the Zorn formula
+    and wrapped back, equal the product on the ring elements."""
     ring, a, b = pair
     prod = a * b
-    assert a.trace_mul(b) == prod.trace()
+    (ra, rb), (sa, sb), p, wrap = inv._lift(ring, (a, b))
+    c = oc._zorn(ra, rb)
+    if p:
+        c = [v % p for v in c]
+    assert prod == oc.Octonion(ring, tuple(wrap(v, sa * sb) for v in c))
     for x in prod.coords():
         if ring is QQ:
             assert type(x) is Fraction
         else:
             assert type(x) is FpElement and x.field is ring
+
+
+@given(_octonion_pair())
+def test_trace_mul_is_the_trace_of_the_product(pair):
+    ring, a, b = pair
+    assert a.trace_mul(b) == (a * b).trace()
 
 
 _MONOMIAL_FACTOR = st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 2))
