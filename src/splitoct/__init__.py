@@ -10,8 +10,7 @@ from .octonion import (Octonion, basis, identity, zero, unit_e, unit_u, unit_v,
 from .words import (left_normed, evaluate, normalize_trace, multilinear_sign,
                     TraceExpr, DECOMPOSABLE)
 from .group import (GroupElement, from_sl3, delta1, delta2, hbar, theta,
-                    apply_tuple, is_automorphism, enumerate_group,
-                    group_order_formula)
+                    apply_tuple, is_automorphism, group_order_formula)
 from .invariants import (Descriptor, enumerate_set, evaluate_family,
                          eval_descriptor, q_prime, psi, psi_hat, embed_matrix,
                          generic_octonion)

@@ -4,8 +4,9 @@ Tuple files are plain text: a header line "field q" (rationals) or
 "field p=<prime>", then one octonion per line as 8 whitespace-separated
 scalars in the order alpha u1 u2 u3 v1 v2 v3 beta.  '#' starts a
 comment.  A scalar is an integer, a decimal or num/den in ASCII digits
-with an optional sign (_SCALAR); anything else is refused.  Negative
-literals are accepted in any field and reduced.
+with an optional sign (_SCALAR), and an integer option or the modulus
+is ASCII digits with an optional minus (_INT); anything else is
+refused.  Negative literals are accepted in any field and reduced.
 """
 
 import argparse
@@ -33,6 +34,15 @@ class ParseError(Exception):
 # Fraction alone would also take an exponent (Fraction("1e999999999")
 # builds an integer of a billion digits), "_" separators and any Unicode digit
 _SCALAR = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+# int() alone would also take "_" separators, any Unicode digit, "+", spaces
+_INT = re.compile(r"-?[0-9]+")
+
+
+def integer(token):
+    """The modulus, a part of --lambda, --degree or --q, by _INT."""
+    if not _INT.fullmatch(token):
+        raise ValueError("not an integer: %r" % token)
+    return int(token)
 
 
 def _parse_scalar(ring, token, lineno):
@@ -67,7 +77,7 @@ def parse_tuple_file(text):
                 ring = QQ
             elif spec.startswith("p="):
                 try:
-                    p = int(spec[2:])
+                    p = integer(spec[2:])
                 except ValueError:
                     raise ParseError("line %d: bad field spec %r" % (lineno, spec))
                 try:
@@ -126,7 +136,7 @@ def cmd_separate(args, out):
 def cmd_limit(args, out):
     _ring, tup = _load(args.file)
     try:
-        lam = tuple(int(x) for x in args.lam.split(","))
+        lam = tuple(integer(x) for x in args.lam.split(","))
     except ValueError:
         raise ParseError("bad --lambda value %r" % args.lam)
     res = ob.limit(lam, tup)
@@ -185,14 +195,14 @@ def _build_parser():
     p = sub.add_parser("eval", help="evaluate the invariant family on a tuple file")
     p.add_argument("file")
     p.add_argument("--family", choices=["S", "S0"], default="S")
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=integer, default=8)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("separate", help="separation report for two tuple files")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--family", choices=["S", "S0"], default="S")
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=integer, default=8)
     p.set_defaults(fn=cmd_separate)
 
     p = sub.add_parser("limit", help="diagonal one-parameter limit of a tuple file")
@@ -206,7 +216,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("group", help="enumerate the automorphism group over GF(q)")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=integer, default=2)
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("paper-examples",

@@ -6,7 +6,8 @@ A group element is stored as a dense 8x8 matrix over its scalar ring,
 acting on coords() columns, in z-order (alpha, u1, u2, u3, v1, v2, v3,
 beta): column k holds the image of the k-th basis octonion.  The
 generators are built from those images as z-order coordinate tuples,
-and an element acts on an octonion through its coordinate tuple.
+and an element g acts on an octonion a as g(a), through its coordinate
+tuple.  The GF(2) group exists once: enumerate_group_array(2).
 """
 
 from functools import cache
@@ -20,9 +21,8 @@ from .scalars import GF, Polynomial
 __all__ = [
     "GroupElement", "identity_element", "from_sl3", "delta1", "delta2",
     "hbar", "weights", "theta", "apply_tuple", "is_automorphism",
-    "coordinate_action", "enumerate_group", "enumerate_group_array",
-    "group_order_formula", "sl3_transvections", "structure_constants",
-    "automorphism_mask",
+    "coordinate_action", "enumerate_group_array", "group_order_formula",
+    "sl3_transvections", "structure_constants", "automorphism_mask",
 ]
 
 
@@ -35,16 +35,13 @@ class GroupElement:
         if len(self.rows) != 8 or any(len(r) != 8 for r in self.rows):
             raise ValueError("a group element needs an 8x8 matrix")
 
-    def apply(self, a):
+    def __call__(self, a):
         if not isinstance(a, oc.Octonion):
             raise TypeError("expected an octonion")
         if a.ring is not self.ring:
             raise ValueError("octonion ring does not match group element ring")
         return oc.Octonion(self.ring,
                            tuple(linalg.matvec(self.rows, a.coords())))
-
-    def __call__(self, a):
-        return self.apply(a)
 
     def compose(self, other):
         """self * other, acting as: apply other first, then self."""
@@ -157,16 +154,16 @@ def theta(ring, lam, t):
 
 
 def apply_tuple(g, tup):
-    return tuple(g.apply(a) for a in tup)
+    return tuple(g(a) for a in tup)
 
 
 def is_automorphism(g):
     """Invertibility plus multiplicativity on all 64 basis products."""
     b = oc.basis(g.ring)
-    gb = [g.apply(a) for a in b]
+    gb = [g(a) for a in b]
     for i in range(8):
         for j in range(8):
-            if g.apply(b[i] * b[j]) != gb[i] * gb[j]:
+            if g(b[i] * b[j]) != gb[i] * gb[j]:
                 return False
     if g.ring.is_field and linalg.rank(g.rows, g.ring) != 8:
         return False
@@ -264,22 +261,12 @@ def enumerate_group_array(q):
     return np.stack(mats), words
 
 
-def enumerate_group(q):
-    """All automorphisms over GF(q) as GroupElements, in BFS order."""
-    mats, _words = enumerate_group_array(q)
-    field = GF(q)
-    return [GroupElement(field, [[field(int(x)) for x in row] for row in m])
-            for m in mats]
-
-
 def structure_constants():
-    """C[i][j][k]: coordinate k of (basis_i * basis_j), as small ints."""
-    from .scalars import QQ
-    b = oc.basis(QQ)
-    return np.array(
-        [[[int(x) for x in (b[i] * b[j]).coords()] for j in range(8)]
-         for i in range(8)],
-        dtype=np.int64)
+    """C[i][j][k]: coordinate k of (basis_i * basis_j), the Zorn product
+    of the integer unit rows."""
+    units = np.eye(8, dtype=np.int64).tolist()
+    return np.array([[oc._zorn(a, b) for b in units] for a in units],
+                    dtype=np.int64)
 
 
 def automorphism_mask(mats, q):

@@ -12,9 +12,3 @@ settings.load_profile("tier1")
 def g2f2_array():
     """Enumerated automorphism group over GF(2) as a numpy stack."""
     return gp.enumerate_group_array(2)
-
-
-@pytest.fixture(scope="session")
-def g2f2_elements(g2f2_array):
-    """The same group as exact GroupElements, BFS order."""
-    return gp.enumerate_group(2)

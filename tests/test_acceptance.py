@@ -19,6 +19,8 @@ from splitoct import symbolic as sy
 from splitoct import words as wd
 from splitoct.scalars import GF, QQ, PolynomialRing
 
+from helpers import gf2_element, labeled_words, rand_oct
+
 
 @contextmanager
 def criterion(num, desc):
@@ -28,11 +30,6 @@ def criterion(num, desc):
         print("ACCEPTANCE %d: FAIL  %s" % (num, desc))
         raise
     print("ACCEPTANCE %d: PASS  %s" % (num, desc))
-
-
-def rand_oct(field, rng):
-    return oc.from_coords(field, [field(rng.randrange(field.p))
-                                  for _ in range(8)])
 
 
 def test_criterion_1_identity_suite():
@@ -81,13 +78,14 @@ def test_criterion_5_group_enumeration(g2f2_array):
         assert time.time() - t0 < 60.0
 
 
-def test_criterion_6_invariance(g2f2_elements):
+def test_criterion_6_invariance(g2f2_array):
+    mats, _words = g2f2_array
     with criterion(6, "1000 random (g, tuple): every descriptor agrees"):
         field = GF(2)
         rng = random.Random(20240)
         for _ in range(1000):
             n = rng.randint(1, 3)
-            g = rng.choice(g2f2_elements)
+            g = gf2_element(rng.choice(mats))
             tup = tuple(rand_oct(field, rng) for _ in range(n))
             gtup = gp.apply_tuple(g, tup)
             for desc in inv.enumerate_set("S", n, 8):
@@ -120,27 +118,11 @@ class _ArrayRing:
         return np.full(self.m, int(x), dtype=self.dtype)
 
 
-def _all_labeled_words(max_degree, n):
-    out = []
-    for d in range(1, max_degree + 1):
-        for shape in wd.all_shapes(d):
-            for labels in product(range(1, n + 1), repeat=d):
-                it = iter(labels)
-
-                def fill(s):
-                    if s is None:
-                        return next(it)
-                    return (fill(s[0]), fill(s[1]))
-
-                out.append(fill(shape))
-    return out
-
-
 def test_criterion_7_normalizer_soundness():
     desc = "trace normalizer sound on all words deg<=5, n<=4, 100 tuples/field"
     with criterion(7, desc):
         t0 = time.time()
-        words = _all_labeled_words(5, 4)
+        words = labeled_words(5, 4)
         assert len(words) == 15764
         exprs = {w: wd.normalize_trace(w) for w in words}
         rng = random.Random(777)
@@ -202,13 +184,14 @@ def test_criterion_9_indecomposability():
         assert not ok and cert is None
 
 
-def test_criterion_10_oracle_separation_consistency(g2f2_elements):
+def test_criterion_10_oracle_separation_consistency(g2f2_array):
+    mats, _words = g2f2_array
     with criterion(10, "same-orbit pairs never separated; reference pairs split"):
         field = GF(2)
         rng = random.Random(505)
         for _ in range(500):
             n = rng.randint(1, 3)
-            g = rng.choice(g2f2_elements)
+            g = gf2_element(rng.choice(mats))
             tup = tuple(rand_oct(field, rng) for _ in range(n))
             gtup = gp.apply_tuple(g, tup)
             assert not ob.separate(tup, gtup, "S", 8).separated

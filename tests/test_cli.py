@@ -113,6 +113,10 @@ def test_parse_tuple_file_comments_and_fractions_mod_p():
     # Arabic-Indic five and zero, which Fraction reads as 5 and 0
     ("field q\n\u0665 0 0 0 0 0 0 0\n", "line 2"),
     ("field p=5\n0 0 0 0 0 0 0 \u0660\n", "line 2"),
+    # the modulus is an ASCII integer too, with no separator or plus sign
+    ("field p=1_000_003\n0 0 0 0 0 0 0 0\n", "bad field spec"),
+    ("field p=\u0665\n0 0 0 0 0 0 0 0\n", "bad field spec"),
+    ("field p=+5\n0 0 0 0 0 0 0 0\n", "bad field spec"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(cli.ParseError) as err:
@@ -300,6 +304,23 @@ def test_limit_bad_lambda(tmp_path, capsys):
     path = write(tmp_path, "u1.oct", "field q\n0 1 0 0 0 0 0 0\n")
     assert cli.main(["limit", path, "--lambda", "1,1,0"]) == 2
     capsys.readouterr()
+    # each part is an ASCII integer: no other digits, separators or signs
+    for lam in ("\u0661,-1,0", "1_0,-10,0", "+1,-1,0", "1, -1,0", "1,-1,0,"):
+        assert cli.main(["limit", path, "--lambda=" + lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad --lambda value")
+
+
+@pytest.mark.parametrize("argv", [["eval", "x.oct", "--degree", "\u0668"],
+                                  ["separate", "x.oct", "y.oct", "--degree", "+8"],
+                                  ["group", "--q", "\u0662"],
+                                  ["group", "--q", "2_0"]])
+def test_integer_options_need_ascii_digits(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
 
 
 def test_limit_negative_first_exponent(tmp_path, capsys):

@@ -9,7 +9,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exports that only the tests call, each with the reason it stays
 TEST_ONLY_EXPORTS = {
-    "group.enumerate_group": "exact group elements for the test fixtures",
     "group.automorphism_mask": "the vectorized check of the GF(2) enumeration",
     "octonion.q_form": "the bilinear form of acceptance criterion 5",
     "orbits.theta_curve": "the second path that checks orbits.limit",

@@ -10,10 +10,7 @@ from splitoct import suite
 from splitoct.invariants import generic_octonion
 from splitoct.scalars import GF, QQ, PolynomialRing
 
-
-def rand_oct(field, rng):
-    return oc.from_coords(field, [field(rng.randrange(field.p))
-                                  for _ in range(8)])
+from helpers import gf2_element, rand_oct
 
 
 def random_sl3(field, rng):
@@ -238,6 +235,16 @@ def test_all_gf2_generator_parameters_exhaustively():
             assert g(b).norm() == b.norm()
 
 
+def test_structure_constants_are_the_basis_products():
+    # the integer Zorn table against the products of the QQ basis
+    b = oc.basis(QQ)
+    want = [[[int(x) for x in (b[i] * b[j]).coords()] for j in range(8)]
+            for i in range(8)]
+    got = gp.structure_constants()
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
 def test_enumeration_order_and_checks(g2f2_array):
     mats, words = g2f2_array
     assert mats.shape == (12096, 8, 8)
@@ -267,10 +274,12 @@ def test_enumeration_inverse_closed_sample(g2f2_array):
                         dtype=np.int64).tobytes() in keys
 
 
-def test_enumerated_elements_are_exact(g2f2_elements):
+def test_enumerated_elements_are_exact(g2f2_array):
+    mats, _words = g2f2_array
     field = GF(2)
     rng = random.Random(19)
-    for g in rng.sample(g2f2_elements, 30):
+    for idx in rng.sample(range(len(mats)), 30):
+        g = gf2_element(mats[idx])
         assert gp.is_automorphism(g)
         a = rand_oct(field, rng)
         assert g(a).trace() == a.trace()

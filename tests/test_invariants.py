@@ -14,10 +14,7 @@ from splitoct import octonion as oc
 from splitoct import words as wd
 from splitoct.scalars import GF, QQ, PolynomialRing
 
-
-def rand_oct(field, rng):
-    return oc.from_coords(field, [field(rng.randrange(field.p))
-                                  for _ in range(8)])
+from helpers import gf2_element, rand_oct
 
 
 def test_enumerate_set_small():
@@ -87,12 +84,13 @@ def test_eval_descriptor_index_error():
         inv.eval_descriptor(inv.Descriptor("tr", (1, 2)), (oc.identity(QQ),))
 
 
-def test_descriptor_invariance_random(g2f2_elements):
+def test_descriptor_invariance_random(g2f2_array):
+    mats, _words = g2f2_array
     field = GF(2)
     rng = random.Random(23)
     descs = inv.enumerate_set("S", 2, 8)
     for _ in range(100):
-        g = rng.choice(g2f2_elements)
+        g = gf2_element(rng.choice(mats))
         tup = (rand_oct(field, rng), rand_oct(field, rng))
         gtup = gp.apply_tuple(g, tup)
         for d in descs:

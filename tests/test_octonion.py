@@ -13,10 +13,7 @@ from splitoct import linalg
 from splitoct.invariants import generic_octonion
 from splitoct.scalars import GF, QQ, FpElement, PolynomialRing
 
-
-def rand_oct(field, rng):
-    return oc.from_coords(field, [field(rng.randrange(field.p))
-                                  for _ in range(8)])
+from helpers import rand_oct
 
 
 def test_trace_norm_of_e1():

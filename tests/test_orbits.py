@@ -10,10 +10,7 @@ from splitoct import orbits as ob
 from splitoct.invariants import enumerate_set, eval_descriptor
 from splitoct.scalars import GF, QQ, PolynomialRing
 
-
-def rand_oct(field, rng):
-    return oc.from_coords(field, [field(rng.randrange(field.p))
-                                  for _ in range(8)])
+from helpers import gf2_element, rand_oct
 
 
 def test_rank_examples():
@@ -199,12 +196,13 @@ def test_oracle_examples(g2f2_array):
         ob.orbit_equal_oracle((oc.unit_e(QQ, 1),), (oc.unit_e(QQ, 2),))
 
 
-def test_oracle_consistent_with_separation(g2f2_elements):
+def test_oracle_consistent_with_separation(g2f2_array):
+    mats, _words = g2f2_array
     field = GF(2)
     rng = random.Random(83)
     for _ in range(25):
         tup = tuple(rand_oct(field, rng) for _ in range(2))
-        g = rng.choice(g2f2_elements)
+        g = gf2_element(rng.choice(mats))
         gtup = gp.apply_tuple(g, tup)
         found, _ = ob.orbit_equal_oracle(tup, gtup)
         assert found

@@ -11,31 +11,11 @@ from splitoct import octonion as oc
 from splitoct import words as wd
 from splitoct.scalars import GF, QQ
 
-
-def rand_oct(field, rng):
-    return oc.from_coords(field, [field(rng.randrange(field.p))
-                                  for _ in range(8)])
+from helpers import labeled_words, rand_oct
 
 
 def rand_oct_q(rng):
     return oc.from_coords(QQ, [rng.randint(-5, 5) for _ in range(8)])
-
-
-def labeled_words(max_degree, n):
-    """Every tree shape up to max_degree with every letter assignment."""
-    out = []
-    for d in range(1, max_degree + 1):
-        for shape in wd.all_shapes(d):
-            for labels in product(range(1, n + 1), repeat=d):
-                it = iter(labels)
-
-                def fill(s):
-                    if s is None:
-                        return next(it)
-                    return (fill(s[0]), fill(s[1]))
-
-                out.append(fill(shape))
-    return out
 
 
 def test_left_normed_shapes():
