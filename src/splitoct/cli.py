@@ -139,16 +139,16 @@ def cmd_limit(args, out):
         lam = tuple(integer(x) for x in args.lam.split(","))
     except ValueError:
         raise ParseError("bad --lambda value %r" % args.lam)
-    res = ob.limit(lam, tup)
+    lim = ob.limit(lam, tup)
     print("lambda = (%d,%d,%d)" % lam, file=out)
     print("rank before = %d" % ob.rank(tup), file=out)
-    if not res.exists:
+    if lim is None:
         print("limit does not exist", file=out)
         return 0
     print("limit exists", file=out)
-    for a in res.value:
+    for a in lim:
         print(" ".join(map(str, a.coords())), file=out)
-    print("rank after = %d" % ob.rank(res.value), file=out)
+    print("rank after = %d" % ob.rank(lim), file=out)
     return 0
 
 
@@ -163,7 +163,7 @@ def _print_rows(rows, out):
 
 def cmd_verify(args, out):
     rows = sy.identity_table()
-    rows.append(("skew-symmetrization", sy.verify_skew_symmetrization().ok))
+    rows.append(("skew-symmetrization", sy.verify_skew_symmetrization()))
     return 0 if _print_rows(rows, out) == len(rows) else 1
 
 

@@ -4,7 +4,7 @@ Matrices are lists of row lists.  Pivoting is always "first nonzero in
 column order", so every routine is deterministic.
 """
 
-__all__ = ["echelon", "rank", "inverse", "solve", "in_span", "matmul", "matvec"]
+__all__ = ["echelon", "rank", "inverse", "solve", "matmul", "matvec"]
 
 
 def echelon(rows, field):
@@ -73,14 +73,6 @@ def solve(a_rows, b, field):
     for r, c in enumerate(pivots):
         x[c] = m[r][ncols]
     return x
-
-
-def in_span(vectors, target, field):
-    """Coefficients expressing target in the span of vectors, or None."""
-    if not vectors:
-        return None if any(t != field.zero for t in target) else []
-    cols = [[v[i] for v in vectors] for i in range(len(target))]
-    return solve(cols, list(target), field)
 
 
 def matmul(a, b):

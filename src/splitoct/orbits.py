@@ -13,9 +13,8 @@ from .scalars import GF
 
 __all__ = [
     "rank", "algebra_closure", "separate", "SeparationReport", "limit",
-    "LimitResult", "theta_curve", "low_dimensional_bases",
-    "nonclosedness_witnesses", "gram_matrix",
-    "orbit_equal_oracle",
+    "theta_curve", "low_dimensional_bases", "nonclosedness_witnesses",
+    "gram_matrix", "orbit_equal_oracle",
 ]
 
 
@@ -88,22 +87,9 @@ def separate(a_tup, b_tup, family="S", d=8):
 # One-parameter limits
 
 
-class LimitResult:
-    __slots__ = ("exists", "value")
-
-    def __init__(self, exists, value=None):
-        self.exists = exists
-        self.value = value
-
-    def __bool__(self):
-        return self.exists
-
-    def __repr__(self):
-        return "LimitResult(%s)" % (self.value if self.exists else "does not exist",)
-
-
 def limit(lam, tup):
-    """The t -> 0 limit of the diagonal curve through the tuple.
+    """The t -> 0 limit of the diagonal curve through the tuple, or None
+    when it does not exist.
 
     Exists iff every nonzero coordinate carries a non-negative exponent;
     the limit keeps exponent-zero coordinates and zeroes the positive ones.
@@ -118,11 +104,11 @@ def limit(lam, tup):
             if c == zero:
                 continue
             if exps[k] < 0:
-                return LimitResult(False)
+                return None
             if exps[k] > 0:
                 coords[k] = zero
         out.append(oc.from_coords(ring, coords))
-    return LimitResult(True, tuple(out))
+    return tuple(out)
 
 
 def theta_curve(lam, tup, t):
@@ -168,7 +154,8 @@ def nonclosedness_witnesses(ring):
     """The nine basis tuples of low_dimensional_bases whose diagonal
     limits strictly drop rank.
 
-    Returns records (name, tuple, lam, limit tuple, rank before, after).
+    Returns records (name, tuple, lam, limit tuple or None, rank before,
+    rank after or None).
     """
     bases = low_dimensional_bases(ring)
     cases = [("(u1)", (1, -1, 0)), ("(1,u1)", (1, -1, 0)),
@@ -179,10 +166,10 @@ def nonclosedness_witnesses(ring):
     out = []
     for name, lam in cases:
         tup = bases[name]
-        res = limit(lam, tup)
+        lim = limit(lam, tup)
         before = rank(tup)
-        after = rank(res.value) if res.exists else None
-        out.append((name, tup, lam, res, before, after))
+        after = None if lim is None else rank(lim)
+        out.append((name, tup, lam, lim, before, after))
     return out
 
 

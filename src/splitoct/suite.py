@@ -204,9 +204,9 @@ def check_limit_table():
     rows = ob.nonclosedness_witnesses(QQ)
     if len(rows) != len(expected):
         return False
-    for name, _tup, _lam, res, before, after in rows:
-        if (not res.exists or after >= before
-                or (res.value, after) != expected[name]):
+    for name, _tup, _lam, lim, before, after in rows:
+        if (lim is None or after >= before
+                or (lim, after) != expected[name]):
             return False
     return True
 
@@ -214,16 +214,13 @@ def check_limit_table():
 def check_limit_values():
     u1 = oc.unit_u(QQ, 1)
     one = oc.identity(QQ)
-    r1 = ob.limit((1, -1, 0), (u1,))
-    r2 = ob.limit((1, -1, 0), (one, u1))
-    r3 = ob.limit((1, -1, 0), (oc.unit_v(QQ, 1),))
-    return (r1.exists and r1.value == (oc.zero(QQ),)
-            and r2.exists and r2.value == (one, oc.zero(QQ))
-            and not r3.exists)
+    return (ob.limit((1, -1, 0), (u1,)) == (oc.zero(QQ),)
+            and ob.limit((1, -1, 0), (one, u1)) == (one, oc.zero(QQ))
+            and ob.limit((1, -1, 0), (oc.unit_v(QQ, 1),)) is None)
 
 
 def check_skew_symmetrization():
-    return bool(sy.verify_skew_symmetrization())
+    return sy.verify_skew_symmetrization()
 
 
 def check_skew_specialization():
@@ -307,7 +304,7 @@ def check_algebra_closures():
         return False
     span = [list(a.coords()) for a in cl]
     for member in (e1, e2, u1):
-        if linalg.in_span(span, list(member.coords()), field) is None:
+        if linalg.rank(span + [list(member.coords())], field) != len(span):
             return False
     cl2 = ob.algebra_closure((u1, oc.unit_v(field, 2), oc.unit_v(field, 3)))
     return len(cl2) == 3
@@ -342,8 +339,8 @@ def check_closed_class_table():
     for name, tup in bases.items():
         before = ob.rank(tup)
         for lam in lams:
-            res = ob.limit(lam, tup)
-            if res.exists and ob.rank(res.value) < before:
+            lim = ob.limit(lam, tup)
+            if lim is not None and ob.rank(lim) < before:
                 dropping.add(name)
     table = {name for name, *_rest in ob.nonclosedness_witnesses(field)}
     return (dropping == table
@@ -363,7 +360,7 @@ def check_identity_suite():
 def check_trace_sign_rules():
     return (wd.multilinear_sign(((3, 1), 2)) == (1, (1, 2, 3))
             and wd.multilinear_sign((2, 1)) == (-1, (1, 2))
-            and wd.multilinear_sign(((1, 1), 2)) is wd.DECOMPOSABLE)
+            and wd.multilinear_sign(((1, 1), 2)) is None)
 
 
 def check_basis_gram_nonsingular():

@@ -37,7 +37,7 @@ from .scalars import GF, add_terms, mul_terms
 __all__ = [
     "Descriptor", "eval_descriptor", "degree", "leaves", "left_normed", "evaluate",
     "TraceExpr", "te_const", "te_tr", "te_norm",
-    "normalize_trace", "multilinear_sign", "Decomposable", "DECOMPOSABLE",
+    "normalize_trace", "multilinear_sign",
     "all_shapes", "canonical_trace",
 ]
 
@@ -394,25 +394,20 @@ def normalize_trace(w, char=0):
     return out
 
 
-class Decomposable:
-    """Marker: the trace is a polynomial in strictly lower degree invariants."""
-
-    def __repr__(self):
-        return "Decomposable"
-
-
-DECOMPOSABLE = Decomposable()
-
-
 def multilinear_sign(w):
-    """Sign and sorted indices with tr(w) = sign*tr(sorted) modulo
-    decomposables, or DECOMPOSABLE for a non-multilinear word of
-    degree > 2."""
+    """Sign and sorted indices of a word w.
+
+    At degree >= 3, tr(w) = sign*tr(sorted) modulo decomposables.  At
+    degree 2 the sign is the word-level one of the swap identity,
+    Z_j Z_i = -Z_i Z_j plus terms with a trace or norm factor, so (2, 1)
+    gives -1 although tr(Z_2 Z_1) is exactly +tr(1,2), as
+    normalize_trace((2, 1)) shows.  A letter gives +1.  None for a
+    non-multilinear word of degree > 2, whose trace is decomposable."""
     ls = leaves(w)
     k = len(ls)
     if len(set(ls)) != k:
         if k > 2:
-            return DECOMPOSABLE
+            return None
         raise ValueError("sign is defined for multilinear words or degree > 2")
     srt = tuple(sorted(ls))
     if k == 1:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from splitoct import cli
 from splitoct import octonion as oc
+from splitoct import suite
+from splitoct import symbolic as sy
 from splitoct.scalars import GF, QQ
 
 
@@ -372,6 +374,41 @@ def test_byte_determinism(tmp_path, capsys):
 def test_missing_file(capsys):
     assert cli.main(["eval", "/nonexistent/file.oct"]) == 2
     capsys.readouterr()
+
+
+def _refused(argv, capsys, fragment):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert fragment in captured.err
+
+
+def test_refusals_exit_2(tmp_path, capsys):
+    _refused(["eval", write(tmp_path, "x.oct", "field x\n0 0 0 0 0 0 0 0\n")],
+             capsys, "bad field spec")
+    one = write(tmp_path, "one.oct", WITNESS_P5)
+    two = write(tmp_path, "two.oct", WITNESS_P5 + "0 0 0 0 0 0 0 0\n")
+    _refused(["separate", one, two], capsys, "different tuple lengths")
+    _refused(["eval", one, "--degree", "0"], capsys, "need n >= 1 and d >= 1")
+
+
+def test_verify_reports_a_failing_skew_row(monkeypatch, capsys):
+    # a combination path that is off by one must fail the skew row
+    real = sy.q_prime
+    monkeypatch.setattr(sy, "q_prime", lambda *z, path: (
+        real(*z, path=path) + (1 if path == "combination" else 0)))
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert out == VERIFY_OUT.replace("skew-symmetrization            pass",
+                                     "skew-symmetrization            FAIL")
+
+
+def test_examples_command_reports_a_failing_row(monkeypatch, capsys, g2f2_array):
+    monkeypatch.setattr(suite, "CHECKS", suite.CHECKS + [("always-fails", lambda: False)])
+    assert cli.main(["paper-examples"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].split() == ["always-fails", "FAIL"]
+    assert out[-1] == "29 checks, 28 passed"
 
 
 _DIGEST_FIELDS = ("q", "p=2", "p=5", "p=1000003")

@@ -44,6 +44,13 @@ def test_a_name_exported_twice_is_one_object():
     assert distinct == set(DISTINCT_EXPORTS)
 
 
+def test_the_package_reexports_nothing():
+    # every name has one import path, its module
+    tree = ast.parse((ROOT / "src" / "splitoct" / "__init__.py").read_text())
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
+                   for node in ast.walk(tree))
+
+
 def _defined_names(stmt):
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         return {stmt.name}
@@ -72,7 +79,7 @@ def _uses(path):
 
 def test_every_export_is_used_by_the_library_or_the_benchmark():
     # a name in __all__ must be referenced in the package or the benchmark
-    # outside its own definition; re-exports in __init__ do not count
+    # outside its own definition
     src = sorted((ROOT / "src" / "splitoct").glob("*.py"))
     uses = {path: _uses(path)
             for path in src + sorted((ROOT / "bench").glob("*.py"))}

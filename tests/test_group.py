@@ -138,6 +138,8 @@ def test_apply_basics():
     assert gp.identity_element(field)(a) == a
     with pytest.raises(ValueError):
         gp.identity_element(field)(oc.identity(QQ))
+    with pytest.raises(TypeError):
+        gp.identity_element(field)(5)
 
 
 def test_action_preserves_trace_norm_conj():
@@ -181,6 +183,13 @@ def test_generator_inverses():
     singular[3][3] = field.zero
     with pytest.raises(ValueError):
         gp.GroupElement(field, singular).inverse()
+
+
+def test_compose_and_inverse_refusals():
+    with pytest.raises(ValueError):
+        gp.identity_element(QQ).compose(gp.identity_element(GF(5)))
+    with pytest.raises(ValueError):
+        gp.identity_element(PolynomialRing(QQ)).inverse()
 
 
 def test_coordinate_action_formula():

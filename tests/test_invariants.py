@@ -301,6 +301,8 @@ def test_q_prime_characteristic_restrictions():
     args2 = tuple(rand_oct(f2, rng) for _ in range(4))
     with pytest.raises(ZeroDivisionError):
         inv.q_prime(*args2)
+    with pytest.raises(ValueError):
+        inv.q_prime(*oc.basis(QQ)[:4], path="x")
 
 
 def test_q_prime_odd_char_agrees_with_rational_reduction():
@@ -319,6 +321,8 @@ def test_psi_kills_outer_coordinates():
     ring = PolynomialRing(QQ)
     assert inv.psi(ring.var(1, 3)).is_zero()
     assert inv.psi(ring.var(1, 2)) == ring.var(1, 2)
+    with pytest.raises(TypeError):
+        inv.psi(3)
 
 
 _FACTOR = st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1, 3))

@@ -153,6 +153,14 @@ def test_ring_mismatch_errors():
         oc.identity(QQ) + oc.identity(GF(5))
 
 
+def test_unit_and_coordinate_refusals():
+    for make, i in ((oc.unit_e, 3), (oc.unit_u, 0), (oc.unit_v, 4)):
+        with pytest.raises(ValueError):
+            make(QQ, i)
+    with pytest.raises(ValueError):
+        oc.from_coords(QQ, [0] * 7)
+
+
 def test_coordinate_round_trip():
     a = oc.from_coords(QQ, [QQ(k) for k in (1, 2, 3, 4, 5, 6, 7, 8)])
     assert oc.from_coords(QQ, a.coords()) == a

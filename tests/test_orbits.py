@@ -7,7 +7,7 @@ from splitoct import group as gp
 from splitoct import linalg
 from splitoct import octonion as oc
 from splitoct import orbits as ob
-from splitoct.invariants import enumerate_set, eval_descriptor
+from splitoct.invariants import enumerate_set, eval_descriptor, generic_octonion
 from splitoct.scalars import GF, QQ, PolynomialRing
 
 from helpers import gf2_element, rand_oct
@@ -19,6 +19,8 @@ def test_rank_examples():
     u1 = oc.unit_u(f5, 1)
     assert ob.rank((u1, u1.scale(f5(2)))) == 1
     assert ob.rank((oc.unit_u(QQ, 1), oc.unit_v(QQ, 2), oc.unit_v(QQ, 3))) == 3
+    with pytest.raises(ValueError):
+        ob.rank((generic_octonion(PolynomialRing(QQ), 1),))
 
 
 def test_algebra_closure_examples():
@@ -28,7 +30,7 @@ def test_algebra_closure_examples():
     assert len(cl) == 3
     span = [list(a.coords()) for a in cl]
     for member in (e1, e2, u1):
-        assert linalg.in_span(span, list(member.coords()), QQ) is not None
+        assert linalg.rank(span + [list(member.coords())], QQ) == len(span)
     assert ob.algebra_closure((oc.identity(QQ),)) == [oc.identity(QQ)]
     cl3 = ob.algebra_closure((u1, oc.unit_v(QQ, 2), oc.unit_v(QQ, 3)))
     assert len(cl3) == 3
@@ -122,17 +124,18 @@ def test_tuple_functions_refuse_empty_and_mixed_tuples():
 
 def test_limit_examples():
     u1 = oc.unit_u(QQ, 1)
-    r = ob.limit((1, -1, 0), (u1,))
-    assert r.exists and r.value == (oc.zero(QQ),)
-    r2 = ob.limit((1, -1, 0), (oc.identity(QQ), u1))
-    assert r2.exists and r2.value == (oc.identity(QQ), oc.zero(QQ))
-    assert not ob.limit((1, -1, 0), (oc.unit_v(QQ, 1),)).exists
+    assert ob.limit((1, -1, 0), (u1,)) == (oc.zero(QQ),)
+    assert ob.limit((1, -1, 0), (oc.identity(QQ), u1)) == (oc.identity(QQ), oc.zero(QQ))
+    assert ob.limit((1, -1, 0), (oc.unit_v(QQ, 1),)) is None
     for lam in ((1, 1, 0), (1, -1), (1, -1, 0, 0), (2, -1, -1, 0, 0),
                 (1, -1, 0.0)):
         with pytest.raises(ValueError):
             ob.limit(lam, (u1,))
         with pytest.raises(ValueError):
             ob.theta_curve(lam, (u1,), QQ(2))
+    # v1 carries exponent -1 under (1,-1,0), so the curve has a pole at t = 0
+    with pytest.raises(ValueError):
+        ob.theta_curve((1, -1, 0), (oc.unit_v(QQ, 1),), QQ(2))
 
 
 def test_limit_agrees_with_curve_constant_term():
@@ -141,9 +144,9 @@ def test_limit_agrees_with_curve_constant_term():
     field = GF(2)
     ring = PolynomialRing(field)
     t = ring.var(1, 1)
-    for _name, tup, lam, _res, _b, _a in ob.nonclosedness_witnesses(field):
+    for _name, tup, lam, _lim, _b, _a in ob.nonclosedness_witnesses(field):
         curve = ob.theta_curve(lam, tup, t)
-        lim = ob.limit(lam, tup).value
+        lim = ob.limit(lam, tup)
         for desc in enumerate_set("S", len(tup), 8):
             poly = eval_descriptor(desc, curve)
             const = poly.terms.get((), field.zero)
@@ -244,5 +247,4 @@ def test_low_dimensional_bases_close_and_differ(g2f2_array):
 def test_closed_d2_class_has_no_rank_dropping_limit():
     e1, e2 = oc.unit_e(QQ, 1), oc.unit_e(QQ, 2)
     for lam in ((1, -1, 0), (-1, 1, 0), (0, 1, -1), (2, -1, -1)):
-        r = ob.limit(lam, (e1, e2))
-        assert r.exists and r.value == (e1, e2)
+        assert ob.limit(lam, (e1, e2)) == (e1, e2)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from splitoct.scalars import (GF, QQ, PolynomialRing, coefficients_in_z_half,
-                              _is_prime)
+from splitoct.scalars import (GF, QQ, Polynomial, PolynomialRing,
+                              coefficients_in_z_half, _is_prime)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -125,6 +125,18 @@ def test_mixed_field_errors():
         GF(2)(1) + GF(3)(1)
     with pytest.raises(TypeError):
         GF(5)(1) + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        GF(5)("x")
+
+
+def test_polynomial_refusals():
+    qx, fx = PolynomialRing(QQ).var(1, 1), PolynomialRing(GF(5)).var(1, 1)
+    with pytest.raises(ValueError):
+        qx + fx
+    with pytest.raises(ValueError):
+        qx ** 1.5
+    with pytest.raises(ValueError):
+        PolynomialRing(QQ)(fx)
 
 
 def test_nonprime_modulus_rejected():
@@ -236,6 +248,20 @@ def test_equal_scalars_hash_equal():
     assert PolynomialRing(QQ).zero == 0 and hash(PolynomialRing(QQ).zero) == hash(0)
     # a non-constant polynomial never equals a scalar
     assert PolynomialRing(QQ).var(1, 1) != 1
+
+
+@pytest.mark.parametrize("base", [QQ, GF(5)])
+def test_equal_nonconstant_polynomials_hash_equal(base):
+    ring = PolynomialRing(base)
+    x, y, z = ring.var(1, 1), ring.var(1, 2), ring.var(2, 3)
+    # the same polynomial with its terms added and its factors multiplied
+    # in different orders, and with its terms dict built in reverse
+    f = 3 * x * y * y + z - x
+    g = (-x) + y * x * 3 * y + z
+    h = Polynomial(ring, dict(reversed(list(f.terms.items()))))
+    assert f == g == h
+    assert hash(f) == hash(g) == hash(h)
+    assert len({f, g, h}) == 1
 
 
 def test_polynomial_nonunit_inverse_errors():

@@ -22,6 +22,8 @@ def test_left_normed_shapes():
     assert wd.left_normed((1,)) == 1
     assert wd.left_normed((1, 2)) == (1, 2)
     assert wd.left_normed((1, 2, 3, 4)) == (((1, 2), 3), 4)
+    with pytest.raises(ValueError):
+        wd.left_normed(())
 
 
 def test_degree_and_multidegree():
@@ -73,7 +75,7 @@ def test_multilinear_sign_examples():
     assert wd.multilinear_sign(((3, 1), 2)) == (1, (1, 2, 3))
     assert wd.multilinear_sign(wd.left_normed((1, 2))) == (1, (1, 2))
     assert wd.multilinear_sign((2, 1)) == (-1, (1, 2))
-    assert wd.multilinear_sign(((1, 1), 2)) is wd.DECOMPOSABLE
+    assert wd.multilinear_sign(((1, 1), 2)) is None
     with pytest.raises(ValueError):
         wd.multilinear_sign((1, 1))
 
