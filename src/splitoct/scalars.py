@@ -241,19 +241,26 @@ class RationalField:
 QQ = RationalField()
 
 
-def add_terms(a, b):
-    """The sum of two term dicts (monomial -> nonzero coefficient)."""
-    terms = dict(a)
+def add_terms_into(acc, b):
+    """Add the term dict b (monomial -> nonzero coefficient) into acc in
+    place; acc must be a dict its caller owns, never one shared with a
+    memo or another value."""
     for m, c in b.items():
-        s = terms.get(m)
+        s = acc.get(m)
         if s is None:
-            terms[m] = c
+            acc[m] = c
         else:
             s = s + c
             if s == 0:
-                del terms[m]
+                del acc[m]
             else:
-                terms[m] = s
+                acc[m] = s
+
+
+def add_terms(a, b):
+    """The sum of two term dicts, as a new dict."""
+    terms = dict(a)
+    add_terms_into(terms, b)
     return terms
 
 

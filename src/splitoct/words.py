@@ -11,9 +11,12 @@ is an identity that can be checked by evaluation over any ring.
 The canonical invariants are the Descriptor pairs ("tr", (i1,...,ik))
 and ("n", (i,)), the members of the invariant families and, read with
 det for n, of the 2x2 matrix invariants; eval_descriptor evaluates one
-on a tuple.  TraceExpr factors are the same pairs as plain tuples: each
-equals and hash-equals its Descriptor, and plain tuples keep CPython's
-fast path for sorting monomials.
+on a tuple.  Inside a TraceExpr each such factor is a small int: a
+process-wide table interns every distinct canonical pair once, the first
+time it occurs, so a monomial is a sorted tuple of ints and the term
+kernels hash and sort ints.  TraceExpr.terms decodes them back into
+sorted tuples of plain pairs, each equal and hash-equal to its
+Descriptor.
 
 The rewriting uses three exact consequences of the quadratic relation
 and linearized alternativity:
@@ -32,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 
-from .scalars import GF, add_terms, mul_terms
+from .scalars import GF, add_terms, add_terms_into, mul_terms
 
 __all__ = [
     "Descriptor", "eval_descriptor", "degree", "leaves", "left_normed", "evaluate",
@@ -158,40 +161,76 @@ def eval_descriptor(desc, tup):
     return evaluate(left_normed(idx[:-1]), tup).trace_mul(tup[idx[-1] - 1])
 
 
-def _monomial_degree(m):
-    return sum(Descriptor(*f).degree for f in m)
+# The factor table: _FACTORS[f] is the canonical pair, a plain tuple,
+# with id f, and _FACTOR_IDS maps the pair back to f.  It lives as long
+# as the process and holds one entry per distinct factor ever built; an
+# id is never reused, so memoized expressions stay valid.
+_FACTORS = []
+_FACTOR_IDS = {}
+
+
+def _factor_id(kind, indices):
+    """The id of the factor (kind, indices), interned on first use.  The
+    indices must be ints; a new factor is validated as a Descriptor."""
+    key = (kind, tuple(indices))
+    if not all(type(i) is int for i in key[1]):
+        raise ValueError("descriptor indices must be ints: %r" % (key[1],))
+    f = _FACTOR_IDS.get(key)
+    if f is None:
+        key = tuple(Descriptor(kind, key[1]))
+        f = _FACTOR_IDS[key] = len(_FACTORS)
+        _FACTORS.append(key)
+    return f
+
+
+def _decode(m):
+    """A monomial of factor ids as the sorted tuple of its pairs."""
+    return tuple(sorted([_FACTORS[f] for f in m]))
+
+
+def _monomial_key(m):
+    """Sort key of a decoded monomial: its degree, then its factors."""
+    return (sum(Descriptor(*f).degree for f in m), m)
 
 
 class TraceExpr:
     """Exact linear combination of products of tr(i1,...,ik) and n(i).
 
-    Monomials are sorted tuples of factors ("tr", (i1,...,ik)) or
-    ("n", (i,)), plain tuples equal to their Descriptor; coefficients are
-    exact integers or Fractions.
+    `terms` maps each monomial, a sorted tuple of factors
+    ("tr", (i1,...,ik)) or ("n", (i,)) (plain tuples equal to their
+    Descriptor), to its coefficient, an exact integer or Fraction.  It is
+    a decoded copy: the expression itself keys its terms by sorted
+    tuples of factor ids.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        self.terms = terms or {}
+    def __init__(self, coded=None):
+        """coded: a dict from sorted tuples of factor ids to nonzero
+        coefficients, which the expression takes over."""
+        self._terms = coded or {}
+
+    @property
+    def terms(self):
+        return {_decode(m): c for m, c in self._terms.items()}
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TraceExpr:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = te_const(other)
-        elif not isinstance(other, TraceExpr):
-            return NotImplemented
-        return TraceExpr(add_terms(self.terms, other.terms))
+        return TraceExpr(add_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TraceExpr({m: -c for m, c in self.terms.items()})
+        return TraceExpr({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TraceExpr:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = te_const(other)
-        elif not isinstance(other, TraceExpr):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -200,63 +239,65 @@ class TraceExpr:
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return TraceExpr()
-            return TraceExpr({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, TraceExpr):
+        if type(other) is TraceExpr:
+            return TraceExpr(mul_terms(self._terms, other._terms))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return TraceExpr(mul_terms(self.terms, other.terms))
+        if other == 0:
+            return TraceExpr()
+        return TraceExpr({m: c * other for m, c in self._terms.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TraceExpr:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = te_const(other)
-        if not isinstance(other, TraceExpr):
-            return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def reduce_mod(self, p):
         """Coefficients reduced into GF(p), p prime; drops vanishing
         monomials."""
         field = GF(p)
         terms = {}
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             r = field(c).r
             if r:
                 terms[m] = r
         return TraceExpr(terms)
 
     def monomials_sorted(self):
-        return sorted(self.terms, key=lambda m: (_monomial_degree(m), m))
+        return sorted(self.terms, key=_monomial_key)
 
     def evaluate(self, tup, cache=None):
         """Evaluate on a tuple of octonions, exact in its ring; cache maps
-        factors to their values."""
+        factors, as pairs, to their values."""
         ring = tup[0].ring
         if cache is None:
             cache = {}
         acc = ring.zero
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             val = ring(c)
             for f in m:
-                fv = cache.get(f)
+                pair = _FACTORS[f]
+                fv = cache.get(pair)
                 if fv is None:
-                    fv = cache[f] = eval_descriptor(Descriptor(*f), tup)
+                    fv = cache[pair] = eval_descriptor(Descriptor(*pair), tup)
                 val = val * fv
             acc = acc + val
         return acc
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
+        terms = self.terms
         parts = []
-        for m in self.monomials_sorted():
-            c = self.terms[m]
+        for m in sorted(terms, key=_monomial_key):
+            c = terms[m]
             body = "*".join(Descriptor(*f).name() for f in m)
             parts.append("%s*%s" % (c, body) if body and c != 1 else body or str(c))
         return " + ".join(parts)
@@ -269,15 +310,23 @@ def te_const(c):
 
 
 def te_tr(indices):
-    # validated as a Descriptor, stored as a plain tuple
-    return TraceExpr({(tuple(Descriptor("tr", indices)),): 1})
+    return TraceExpr({(_factor_id("tr", indices),): 1})
 
 
 def te_norm(i):
-    return TraceExpr({(tuple(Descriptor("n", (i,))),): 1})
+    return TraceExpr({(_factor_id("n", (i,)),): 1})
 
 
 _TE_ONE = te_const(1)
+
+
+def _sum(exprs):
+    """The sum of TraceExprs, added in place into one dict made here, so
+    no partial sum is copied."""
+    acc = {}
+    for e in exprs:
+        add_terms_into(acc, e._terms)
+    return TraceExpr(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +359,10 @@ def canonical_trace(J):
     a, b = J[m], J[m + 1]
     tab = te_tr((min(a, b), max(a, b)))
     ta, tb = te_tr((a,)), te_tr((b,))
-    return -canonical_trace(J[:m] + (b, a) + J[m + 2:]) \
-        + ta * canonical_trace(J[:m] + (b,) + J[m + 2:]) \
-        + tb * canonical_trace(J[:m] + (a,) + J[m + 2:]) \
-        + (tab - ta * tb) * canonical_trace(J[:m] + J[m + 2:])
+    return _sum((-canonical_trace(J[:m] + (b, a) + J[m + 2:]),
+                 ta * canonical_trace(J[:m] + (b,) + J[m + 2:]),
+                 tb * canonical_trace(J[:m] + (a,) + J[m + 2:]),
+                 (tab - ta * tb) * canonical_trace(J[:m] + J[m + 2:])))
 
 
 def _ae_add(acc, key, expr):
@@ -333,8 +382,8 @@ def _trace_mul(L, R):
         return canonical_trace(L + R)
     R1, x = R[:-1], R[-1:]
     tL, tLx, tR1 = canonical_trace(L), canonical_trace(L + x), canonical_trace(R1)
-    return tL * canonical_trace(R) + tLx * tR1 - _trace_mul(L + x, R1) \
-        + (_trace_mul(L, R1) - tL * tR1) * canonical_trace(x)
+    return _sum((tL * canonical_trace(R), tLx * tR1, -_trace_mul(L + x, R1),
+                 (_trace_mul(L, R1) - tL * tR1) * canonical_trace(x)))
 
 
 @cache
@@ -372,6 +421,24 @@ def _to_left_normed(w):
     return out
 
 
+def _check_word(w):
+    """Raise ValueError, naming the node, unless w is an int letter >= 1
+    or a pair of such words."""
+    stack = [w]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            if len(node) != 2:
+                raise ValueError("an inner node of a word needs exactly two "
+                                 "children: %r in %r" % (node, w))
+            stack.extend(node)
+        elif type(node) is not int:
+            raise ValueError("a leaf of a word must be an int letter (inner "
+                             "nodes are tuples): %r in %r" % (node, w))
+        elif node < 1:
+            raise ValueError("letters are numbered from 1: %r" % (w,))
+
+
 def normalize_trace(w, char=0):
     """Exact expansion of tr(w(Z_1,...,Z_n)) over canonical monomials.
 
@@ -379,16 +446,14 @@ def normalize_trace(w, char=0):
     reduced into GF(p); char=0 keeps them in Z (signs are always
     computed in Z first).
     """
-    if min(leaves(w)) < 1:
-        raise ValueError("letters are numbered from 1: %r" % (w,))
+    _check_word(w)
     if isinstance(w, int):
         out = canonical_trace((w,))
     else:
-        out = TraceExpr()
         eb = _to_left_normed(w[1])
-        for wa, sa in _to_left_normed(w[0]).items():
-            for wb, sb in eb.items():
-                out = out + sa * sb * _trace_mul(wa, wb)
+        out = _sum(sa * sb * _trace_mul(wa, wb)
+                   for wa, sa in _to_left_normed(w[0]).items()
+                   for wb, sb in eb.items())
     if char:
         out = out.reduce_mod(char)
     return out
@@ -403,6 +468,7 @@ def multilinear_sign(w):
     gives -1 although tr(Z_2 Z_1) is exactly +tr(1,2), as
     normalize_trace((2, 1)) shows.  A letter gives +1.  None for a
     non-multilinear word of degree > 2, whose trace is decomposable."""
+    _check_word(w)
     ls = leaves(w)
     k = len(ls)
     if len(set(ls)) != k:
@@ -416,5 +482,5 @@ def multilinear_sign(w):
         # convention of the degree-2 rearrangement of the swap identity;
         # the exact expansion still collects to +tr(i,j)
         return ((1 if ls[0] < ls[1] else -1), srt)
-    coeff = normalize_trace(w).terms.get((("tr", srt),), 0)
+    coeff = normalize_trace(w)._terms.get((_factor_id("tr", srt),), 0)
     return (int(coeff), srt)

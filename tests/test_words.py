@@ -1,7 +1,8 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,13 @@ def test_multilinear_sign_examples():
     assert wd.multilinear_sign(((1, 1), 2)) is None
     with pytest.raises(ValueError):
         wd.multilinear_sign((1, 1))
+
+
+def test_multilinear_sign_refuses_malformed_words():
+    # degree <= 2 never reaches normalize_trace, which checks the word
+    for bad in ((1, 2, 3), (0, 1), (1, 2.0), 0):
+        with pytest.raises(ValueError):
+            wd.multilinear_sign(bad)
 
 
 def test_multilinear_sign_matches_leading_term():
@@ -171,7 +179,7 @@ def test_trace_expr_arithmetic():
 
 
 def test_trace_expr_factors_are_plain_descriptor_pairs():
-    # exact tuples keep CPython's fast path when mul_terms sorts monomials
+    # .terms decodes the factor ids into plain pairs, each equal to its Descriptor
     for w in labeled_words(4, 3):
         for m in wd.normalize_trace(w).terms:
             assert all(type(f) is tuple for f in m), (w, m)
@@ -285,6 +293,9 @@ def test_letters_are_numbered_from_one():
     with pytest.raises(IndexError):
         wd.te_norm(3).evaluate(tup)
     assert wd.te_norm(2).evaluate(tup) == tup[1].norm()
+    for bad, node in (((1, 2, 3), (1, 2, 3)), ((1, (2,)), (2,)), ((1, 2.0), 2.0)):
+        with pytest.raises(ValueError, match=re.escape(repr(node))):
+            wd.normalize_trace(bad)
 
 
 def test_trace_mul_matches_product_trace():
@@ -317,3 +328,52 @@ def test_normalize_trace_frozen_digest():
             h.update((repr(wd.normalize_trace(w, char)) + "\n").encode())
     assert h.hexdigest() == \
         "b1f17847c52c956e2187540672452dda1b9495b2a16bfeac854b4da374db5ca5"
+
+
+@pytest.fixture
+def fresh_factor_table(monkeypatch):
+    """An empty factor table.  The memos hold expressions coded with the
+    ids of the table in use, so they are cleared on entry and on exit."""
+    memos = (wd.canonical_trace, wd._trace_mul, wd._mul_left_normed)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(wd, "_FACTORS", [])
+    monkeypatch.setattr(wd, "_FACTOR_IDS", {})
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_factor_ids_in_reverse_order_keep_the_frozen_digest(fresh_factor_table):
+    pairs = [("tr", ix) for k in (1, 2, 3) for ix in combinations((1, 2, 3), k)]
+    pairs += [("n", (i,)) for i in (1, 2, 3)]
+    for pair in sorted(pairs, reverse=True):
+        wd._factor_id(*pair)
+    # inside, tr(2) now sorts before tr(1); the decoded view does not
+    expr = wd.te_tr((1,)) * wd.te_tr((2,))
+    assert list(expr._terms) == [(wd._FACTOR_IDS[("tr", (2,))],
+                                  wd._FACTOR_IDS[("tr", (1,))])]
+    assert expr.terms == {(("tr", (1,)), ("tr", (2,))): 1}
+    test_normalize_trace_frozen_digest()
+    assert len(wd._FACTORS) == len(pairs)
+
+
+def test_factor_table_holds_one_canonical_pair_per_factor(fresh_factor_table):
+    k = 3
+    for w in labeled_words(5, k):
+        wd.normalize_trace(w)
+    assert 0 < len(wd._FACTORS) <= 2 ** k - 1 + k
+    for f in wd._FACTORS:
+        assert type(f) is tuple and wd.Descriptor(*f) == f
+    assert wd._FACTOR_IDS == {f: i for i, f in enumerate(wd._FACTORS)}
+
+
+def test_factor_indices_must_be_ints(fresh_factor_table):
+    # (1.0, 2) equals the interned (1, 2), and is refused all the same
+    wd.te_tr((1, 2))
+    for make in (lambda: wd.te_tr((1.0, 2)), lambda: wd.te_norm(True),
+                 lambda: wd.te_tr((1, 2.5))):
+        with pytest.raises(ValueError):
+            make()
+    assert wd._FACTORS == [("tr", (1, 2))]
+    assert repr(wd.te_tr((1, 2))) == "tr(1,2)"
