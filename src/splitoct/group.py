@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from . import octonion as oc
-from .scalars import GF, Polynomial
+from .scalars import GF, Polynomial, var_id
 
 __all__ = [
     "GroupElement", "identity_element", "from_sl3", "delta1", "delta2",
@@ -180,11 +180,12 @@ def coordinate_action(g, f):
     if g.ring is not ring.base:
         raise ValueError("group element ring %r does not match the base "
                          "ring of %r" % (g.ring, ring))
-    n_inv = g.inverse().rows
     zero = g.ring.zero
-    assignment = {(i, j): Polynomial(ring, {((i, k),): c for k, c
-                                            in enumerate(n_inv[j - 1], 1)
-                                            if c != zero})
+    # each row of g^{-1} as the (k, coefficient) pairs of its nonzero entries
+    rows = [[(k, ring.coefficient(c)) for k, c in enumerate(row, 1) if c != zero]
+            for row in g.inverse().rows]
+    assignment = {(i, j): Polynomial(ring, {(var_id(i, k),): c
+                                            for k, c in rows[j - 1]})
                   for (i, j) in f.variables()}
     return f.substitute(assignment)
 

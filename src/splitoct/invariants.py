@@ -236,8 +236,9 @@ def psi(f):
     j in {3, 4, 6, 7}."""
     if not isinstance(f, Polynomial):
         raise TypeError("psi expects a polynomial")
+    # the variable with id v is z[v // 8 + 1, v % 8 + 1]
     return Polynomial(f.ring, {m: c for m, c in f.terms.items()
-                               if not any(j in _PSI_KILLED for _i, j in m)})
+                               if not any(v % 8 + 1 in _PSI_KILLED for v in m)})
 
 
 def psi_hat(a):

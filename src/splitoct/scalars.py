@@ -17,7 +17,7 @@ from itertools import groupby
 
 __all__ = [
     "GF", "QQ", "PrimeField", "RationalField", "PolynomialRing",
-    "Polynomial", "FpElement", "coefficients_in_z_half",
+    "Polynomial", "FpElement", "coefficients_in_z_half", "var_id",
 ]
 
 
@@ -284,17 +284,32 @@ def mul_terms(a, b):
     return terms
 
 
+def var_id(i, j):
+    """The id 8*(i-1) + (j-1) of the variable z[i,j].  Ids sort like the
+    pairs (i, j); ValueError unless i >= 1 and 1 <= j <= 8 are ints, so
+    no two variables share an id."""
+    if type(i) is not int or type(j) is not int or i < 1 or not 1 <= j <= 8:
+        raise ValueError("z[i,j] needs ints i >= 1 and 1 <= j <= 8: %r"
+                         % ((i, j),))
+    return 8 * (i - 1) + j - 1
+
+
 def _exponents(m):
-    """A monomial as its ((i, j), exponent) pairs."""
+    """A monomial as its (variable id, exponent) pairs."""
     return tuple((v, len(tuple(g))) for v, g in groupby(m))
 
 
 class Polynomial:
-    """Sparse polynomial in variables z[i,j].
+    """Sparse polynomial in variables z[i,j], i >= 1 and j in 1..8.
 
     `terms` maps a monomial to a nonzero base-field coefficient.  A
-    monomial is the sorted tuple of its variables (i, j), each repeated
-    by its exponent: z[1,1]^2*z[1,2] is ((1, 1), (1, 1), (1, 2)).
+    monomial is the sorted tuple of the variable ids var_id(i, j) =
+    8*(i-1) + (j-1) of its variables, each repeated by its exponent:
+    z[1,1]^2*z[1,2] is (0, 0, 1) and z[2,3] is (10,).  Ids sort like the
+    pairs (i, j), so monomials sort as they would by pairs.  Over QQ a
+    coefficient that the ring builds is an int when it is integral and a
+    Fraction otherwise; arithmetic may leave a Fraction with denominator
+    1, which equals and hashes as its int.
     """
 
     __slots__ = ("ring", "terms")
@@ -390,8 +405,12 @@ class Polynomial:
             raise ZeroDivisionError("only nonzero constants are units")
         return self.ring(self.ring.base.one / self.terms[()])
 
+    def _ids(self):
+        return {v for m in self.terms for v in m}
+
     def variables(self):
-        return sorted({v for m in self.terms for v in m})
+        """The sorted pairs (i, j) of the variables that occur."""
+        return [(v // 8 + 1, v % 8 + 1) for v in sorted(self._ids())]
 
     def multidegree(self, n):
         """Per-slot degree vector (degree in the block z[i,.] for each i).
@@ -401,8 +420,8 @@ class Polynomial:
         mdeg = None
         for m in self.terms:
             d = [0] * n
-            for (i, _j) in m:
-                d[i - 1] += 1
+            for v in m:
+                d[v // 8] += 1
             d = tuple(d)
             if mdeg is None:
                 mdeg = d
@@ -419,24 +438,40 @@ class Polynomial:
         The target ring is the one polynomial ring among the values
         (ValueError for two), else this ring when a variable is left
         unassigned (it is then retained), else the base field.  Every
-        value and every coefficient is coerced into the target once.
+        value and every coefficient is coerced into the target once.  A
+        key outside var_id's range is a ValueError.  In a polynomial
+        ring the terms are summed in place into one dict.
         """
-        rings = {a.ring for a in assignment.values() if isinstance(a, Polynomial)}
+        values = {var_id(*v): a for v, a in assignment.items()}
+        rings = {a.ring for a in values.values() if isinstance(a, Polynomial)}
         if len(rings) > 1:
             raise ValueError("mixed-ring assignment")
-        retained = [v for v in self.variables() if v not in assignment]
+        retained = self._ids() - values.keys()
         target = rings.pop() if rings else self.ring if retained else self.ring.base
         if retained and target is not self.ring:
             raise ValueError("retained variables need the original ring")
-        values = {v: target(a) for v, a in assignment.items()}
-        values.update((v, target.var(*v)) for v in retained)
-        acc = target.zero
+        if not isinstance(target, PolynomialRing):
+            values = {v: target(a) for v, a in values.items()}
+            acc = target.zero
+            for m, c in self.terms.items():
+                val = target(c)
+                for v in m:
+                    val = val * values[v]
+                acc = acc + val
+            return acc
+        values = {v: target(a).terms for v, a in values.items()}
+        one = target.coefficient(1)
+        values.update((v, {(v,): one}) for v in retained)
+        acc = {}
         for m, c in self.terms.items():
-            val = target(c)
+            c = target.coefficient(c)
+            if not c:  # a coefficient reduced into a smaller field
+                continue
+            val = {(): c}
             for v in m:
-                val = val * values[v]
-            acc = acc + val
-        return acc
+                val = mul_terms(val, values[v])
+            add_terms_into(acc, val)
+        return Polynomial(target, acc)
 
     def __repr__(self):
         if not self.terms:
@@ -444,7 +479,8 @@ class Polynomial:
         parts = []
         for m in self.monomials_sorted():
             c = self.terms[m]
-            factors = ["z[%d,%d]%s" % (v[0], v[1], "" if e == 1 else "^%d" % e)
+            factors = ["z[%d,%d]%s" % (v // 8 + 1, v % 8 + 1,
+                                        "" if e == 1 else "^%d" % e)
                        for v, e in _exponents(m)]
             body = "*".join(factors)
             if not factors:
@@ -457,7 +493,7 @@ class Polynomial:
 
 
 class PolynomialRing:
-    """Polynomials over GF(p) or the rationals, variables keyed (i, j)."""
+    """Polynomials over GF(p) or the rationals in the variables z[i,j]."""
 
     _interned = {}
 
@@ -473,7 +509,18 @@ class PolynomialRing:
         return inst
 
     def var(self, i, j):
-        return Polynomial(self, {((i, j),): self.base.one})
+        """z[i,j]; ValueError unless i >= 1 and 1 <= j <= 8."""
+        return Polynomial(self, {(var_id(i, j),): self.coefficient(1)})
+
+    def coefficient(self, x):
+        """x coerced into the base field as a term stores it: over QQ an
+        integral value is an int, any other a Fraction."""
+        if self.base is not QQ:
+            return self.base(x)
+        if type(x) is int:
+            return x
+        c = QQ(x)
+        return c.numerator if c.denominator == 1 else c
 
     def __call__(self, x):
         """x as a polynomial: an int, a Fraction or a base-field element
@@ -482,7 +529,7 @@ class PolynomialRing:
             if x.ring is not self:
                 raise ValueError("polynomial from a different ring")
             return x
-        c = self.base(x)
+        c = self.coefficient(x)
         return Polynomial(self, {(): c} if c else {})
 
     @property
@@ -491,7 +538,7 @@ class PolynomialRing:
 
     @property
     def one(self):
-        return Polynomial(self, {(): self.base.one})
+        return Polynomial(self, {(): self.coefficient(1)})
 
     def __repr__(self):
         return "%r[z]" % (self.base,)

@@ -47,16 +47,32 @@ __all__ = [
 UNIT = ()  # the algebra unit 1_O, as a key in word linear combinations
 
 
-def degree(w):
-    if isinstance(w, int):
-        return 1
-    return degree(w[0]) + degree(w[1])
-
-
 def leaves(w):
-    if isinstance(w, int):
-        return (w,)
-    return leaves(w[0]) + leaves(w[1])
+    """The letters of w from left to right.  Raises ValueError, naming
+    the node, unless w is an int letter >= 1 or a pair of such words."""
+    out = []
+    stack = [w]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            if len(node) != 2:
+                raise ValueError("an inner node of a word needs exactly two "
+                                 "children: %r in %r" % (node, w))
+            stack.append(node[1])
+            stack.append(node[0])
+        elif type(node) is not int:
+            raise ValueError("a leaf of a word must be an int letter (inner "
+                             "nodes are tuples): %r in %r" % (node, w))
+        elif node < 1:
+            raise ValueError("letters are numbered from 1: %r" % (w,))
+        else:
+            out.append(node)
+    return tuple(out)
+
+
+def degree(w):
+    """The number of letters of w; ValueError for a malformed word."""
+    return len(leaves(w))
 
 
 def left_normed(indices):
@@ -110,7 +126,7 @@ class IndexBelowOne(ValueError, IndexError):
 class Descriptor(tuple):
     """n(i) or tr(i1,...,ik): the pair (kind, indices), kind "n" or "tr",
     with one norm index or k >= 1 strictly increasing trace indices, all
-    at least 1."""
+    ints (not bools) at least 1."""
 
     __slots__ = ()
 
@@ -120,6 +136,8 @@ class Descriptor(tuple):
         indices = tuple(indices)
         if not indices or (kind == "n" and len(indices) > 1):
             raise ValueError("n(i) takes one index, tr at least one")
+        if not all(type(i) is int for i in indices):
+            raise ValueError("descriptor indices must be ints: %r" % (indices,))
         if indices[0] < 1:
             raise IndexBelowOne("descriptor indices are numbered from 1: %r"
                                 % (indices,))
@@ -421,24 +439,6 @@ def _to_left_normed(w):
     return out
 
 
-def _check_word(w):
-    """Raise ValueError, naming the node, unless w is an int letter >= 1
-    or a pair of such words."""
-    stack = [w]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            if len(node) != 2:
-                raise ValueError("an inner node of a word needs exactly two "
-                                 "children: %r in %r" % (node, w))
-            stack.extend(node)
-        elif type(node) is not int:
-            raise ValueError("a leaf of a word must be an int letter (inner "
-                             "nodes are tuples): %r in %r" % (node, w))
-        elif node < 1:
-            raise ValueError("letters are numbered from 1: %r" % (w,))
-
-
 def normalize_trace(w, char=0):
     """Exact expansion of tr(w(Z_1,...,Z_n)) over canonical monomials.
 
@@ -446,7 +446,7 @@ def normalize_trace(w, char=0):
     reduced into GF(p); char=0 keeps them in Z (signs are always
     computed in Z first).
     """
-    _check_word(w)
+    leaves(w)  # refuses a malformed word before any rewriting
     if isinstance(w, int):
         out = canonical_trace((w,))
     else:
@@ -468,7 +468,6 @@ def multilinear_sign(w):
     gives -1 although tr(Z_2 Z_1) is exactly +tr(1,2), as
     normalize_trace((2, 1)) shows.  A letter gives +1.  None for a
     non-multilinear word of degree > 2, whose trace is decomposable."""
-    _check_word(w)
     ls = leaves(w)
     k = len(ls)
     if len(set(ls)) != k:

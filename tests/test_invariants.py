@@ -59,7 +59,9 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         inv.Descriptor("tr", (2, 1))
     for kind, indices in (("det", (1,)), ("n", (1, 2)), ("n", ()), ("tr", ()),
-                          ("tr", (0, 1)), ("n", (0,)), ("n", (-1,))):
+                          ("tr", (0, 1)), ("n", (0,)), ("n", (-1,)),
+                          ("tr", (1.5, 2)), ("tr", (1, 2.0)), ("n", (1.0,)),
+                          ("n", (True,)), ("tr", (False, 1)), ("tr", ("1",))):
         with pytest.raises(ValueError):
             inv.Descriptor(kind, indices)
     with pytest.raises(ValueError):

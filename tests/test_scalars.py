@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from splitoct.scalars import (GF, QQ, Polynomial, PolynomialRing,
-                              coefficients_in_z_half, _is_prime)
+from splitoct import group as gp
+from splitoct.invariants import psi
+from splitoct.scalars import (GF, QQ, FpElement, Polynomial, PolynomialRing,
+                              coefficients_in_z_half, var_id, _is_prime)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -137,6 +139,113 @@ def test_polynomial_refusals():
         qx ** 1.5
     with pytest.raises(ValueError):
         PolynomialRing(QQ)(fx)
+
+
+def test_variables_outside_the_id_range_are_refused():
+    ring = PolynomialRing(QQ)
+    for i, j in ((0, 1), (1, 9), (1, 0), (-1, 8), (1.0, 1), (1, True)):
+        with pytest.raises(ValueError):
+            ring.var(i, j)
+    f = ring.var(1, 8) * ring.var(2, 1)
+    with pytest.raises(ValueError):
+        f.substitute({(1, 9): 1})
+    with pytest.raises(ValueError):
+        f.substitute({(1, 8): 1, (0, 1): 1})
+    # ids sort like the pairs, across the block boundary
+    assert var_id(1, 8) < var_id(2, 1) and f.variables() == [(1, 8), (2, 1)]
+    assert repr(f) == "z[1,8]*z[2,1]"
+
+
+def test_ring_stores_integral_rationals_as_ints():
+    ring = PolynomialRing(QQ)
+    for x in (ring(3), ring(Fraction(6, 2)), ring.one, ring.var(2, 5)):
+        assert all(type(c) is int for c in x.terms.values())
+    assert ring(Fraction(6, 2)).terms == {(): 3}
+    assert type(ring(Fraction(1, 2)).terms[()]) is Fraction
+    assert ring.coefficient(Fraction(-4, 2)) == -2
+    assert type(ring.coefficient(Fraction(-4, 2))) is int
+    assert ring.var(2, 5).terms == {(var_id(2, 5),): 1}
+    # over GF(p) a coefficient stays a field element
+    assert type(PolynomialRing(GF(5)).one.terms[()]) is FpElement
+
+
+def _fast_vs_slow_poly(ring, rng):
+    """A random polynomial in z[1..2, 1..8] built through the ring, and
+    the same polynomial with every QQ coefficient forced to a Fraction."""
+    base = ring.base
+    f = ring.zero
+    for _ in range(rng.randint(0, 5)):
+        c = (Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+             if base is QQ else base(rng.randrange(5)))
+        term = ring(c)
+        for _ in range(rng.randint(0, 3)):
+            term = term * ring.var(rng.randint(1, 2), rng.randint(1, 8))
+        f = f + term
+    if base is not QQ:
+        return f, Polynomial(ring, dict(f.terms))
+    return f, Polynomial(ring, {m: Fraction(c) for m, c in f.terms.items()})
+
+
+def _chained_substitute(f, assignment, target):
+    """The reference substitution: one chained + per term."""
+    acc = target.zero
+    for m, c in f.terms.items():
+        val = target(c)
+        for v in m:
+            key = (v // 8 + 1, v % 8 + 1)
+            val = val * (target(assignment[key]) if key in assignment
+                         else target.var(*key))
+        acc = acc + val
+    return acc
+
+
+def _assert_exact(x, base):
+    """No float anywhere; over QQ every coefficient is an int or a
+    Fraction, over GF(p) a field element."""
+    coeffs = x.terms.values() if isinstance(x, Polynomial) else (x,)
+    kinds = (int, Fraction) if base is QQ else (FpElement,)
+    assert all(type(c) in kinds for c in coeffs), x
+
+
+def _assert_same(x, y, base):
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    _assert_exact(x, base)
+    _assert_exact(y, base)
+
+
+@pytest.mark.parametrize("base", [QQ, GF(5)])
+def test_int_coefficients_match_the_fraction_path(base):
+    """Every operation on a polynomial built with int coefficients gives
+    the result of the same polynomial with Fraction coefficients, with
+    equal hash and repr, and substitute matches a chained-+ reference."""
+    ring = PolynomialRing(base)
+    rng = random.Random(19)
+    half = base(Fraction(1, 2))
+    gens = [gp.from_sl3(base, [[1, 0, 0], [base(2), 1, 0], [0, 0, 1]]),
+            gp.delta1(base, (base(1), half, base(-1))),
+            gp.theta(base, (1, -2, 1), base(3)),
+            gp.hbar(base).compose(gp.delta2(base, (half, 0, base(2))))]
+    for _ in range(30):
+        (f, f2), (g, g2) = (_fast_vs_slow_poly(ring, rng) for _ in range(2))
+        _assert_same(f, f2, base)
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b, lambda a, b: a ** 2 * b ** 3):
+            _assert_same(op(f, g), op(f2, g2), base)
+        _assert_same(psi(f), psi(f2), base)
+        g_elt = rng.choice(gens)
+        _assert_same(gp.coordinate_action(g_elt, f),
+                     gp.coordinate_action(g_elt, f2), base)
+        keys = [(i, j) for i in (1, 2) for j in range(1, 9)]
+        scalars = {k: base(Fraction(rng.randint(-4, 4), rng.choice((1, 3))))
+                   for k in keys}
+        polys, polys2 = {}, {}
+        for k in rng.sample(keys, 12):  # the other keys are retained
+            polys[k], polys2[k] = _fast_vs_slow_poly(ring, rng)
+        for (a, a2), target in (((scalars, scalars), base),
+                                ((polys, polys2), ring)):
+            h, h2 = f.substitute(a), f2.substitute(a2)
+            _assert_same(h, h2, base)
+            _assert_same(h, _chained_substitute(f, a, target), base)
 
 
 def test_nonprime_modulus_rejected():

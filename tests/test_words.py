@@ -30,6 +30,21 @@ def test_left_normed_shapes():
 def test_degree_and_multidegree():
     w = ((1, 2), (1, 3))
     assert wd.degree(w) == 4
+    assert wd.leaves(w) == (1, 2, 1, 3)
+    assert (wd.degree(3), wd.leaves(3)) == (1, (3,))
+
+
+def test_degree_and_leaves_refuse_malformed_words():
+    # the same walk that normalize_trace runs, naming the offending node
+    for bad, node in (((1, 2, 3), (1, 2, 3)), ((1, (2,)), (2,)),
+                      ((1, 2.0), 2.0), ([1, 2], [1, 2]), ((1, True), True)):
+        for f in (wd.degree, wd.leaves):
+            with pytest.raises(ValueError, match=re.escape(repr(node))):
+                f(bad)
+    for bad in (0, (1, -1)):
+        for f in (wd.degree, wd.leaves):
+            with pytest.raises(ValueError):
+                f(bad)
 
 
 def test_evaluate_leaf_and_errors():
