@@ -21,7 +21,7 @@ from . import octonion as oc
 from . import orbits as ob
 from . import suite
 from . import symbolic as sy
-from .invariants import evaluate_family
+from .invariants import evaluate_family, family_names
 from .scalars import GF, QQ
 
 __all__ = ["main", "parse_tuple_file", "ParseError"]
@@ -45,18 +45,33 @@ def integer(token):
     return int(token)
 
 
+# the longest token a refusal echoes whole; a longer one is cut to this
+# many characters and its length is added
+_ECHO = 40
+
+
+def _echo(token):
+    if len(token) <= _ECHO:
+        return "%r" % token
+    return "%r... (%d characters)" % (token[:_ECHO], len(token))
+
+
 def _parse_scalar(ring, token, lineno):
     try:
         if not _SCALAR.fullmatch(token):
             raise ValueError(token)
-        frac = Fraction(token)
+        # int() is a few times faster than Fraction() on the plain
+        # integers most files hold; both refuse more than
+        # sys.get_int_max_str_digits() digits with ValueError
+        value = int(token) if _INT.fullmatch(token) else Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError("line %d: cannot parse scalar %r" % (lineno, token))
+        raise ParseError("line %d: cannot parse scalar %s"
+                         % (lineno, _echo(token)))
     try:
-        return ring(frac)
+        return ring(value)
     except ZeroDivisionError:
-        raise ParseError("line %d: scalar %r is undefined in this field"
-                         % (lineno, token))
+        raise ParseError("line %d: scalar %s is undefined in this field"
+                         % (lineno, _echo(token)))
 
 
 def parse_tuple_file(text):
@@ -110,8 +125,11 @@ def _load(path):
 
 def cmd_eval(args, out):
     _ring, tup = _load(args.file)
-    for desc, value in evaluate_family(args.family, tup, args.degree):
-        print("%s = %s" % (desc.name(), value), file=out)
+    values = evaluate_family(args.family, tup, args.degree)
+    names = family_names(args.family, len(tup), args.degree)
+    # the whole table is formatted before anything is written
+    out.writelines(["%s = %s\n" % (name, value)
+                    for name, (_desc, value) in zip(names, values)])
     return 0
 
 

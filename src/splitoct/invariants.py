@@ -12,6 +12,7 @@ The matrix side uses the same descriptors, with n(i) read as det and
 traces of associative products of generic 2x2 matrices.
 """
 
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, lcm
@@ -22,8 +23,8 @@ from .scalars import QQ, Polynomial, PrimeField
 from .words import Descriptor, eval_descriptor
 
 __all__ = [
-    "Descriptor", "enumerate_set", "evaluate_family", "eval_descriptor",
-    "descriptor_polynomial", "MAX_FAMILY_SIZE",
+    "Descriptor", "enumerate_set", "family_names", "evaluate_family",
+    "eval_descriptor", "descriptor_polynomial", "MAX_FAMILY_SIZE",
     "q_prime", "q_prime_combination", "psi", "psi_hat", "embed_matrix",
     "eval_matrix_descriptor",
     "generic_matrix", "mat2_mul", "mat2_trace", "mat2_det",
@@ -43,11 +44,46 @@ def enumerate_set(family, n, d):
     (the single traces vanish identically on traceless tuples).
     Ordered by (degree, norms first, indices).  Raises ValueError for a
     family of more than MAX_FAMILY_SIZE descriptors, before building it.
+    Returns a new list; the family itself is built once (_family).
     """
+    return list(_family(family, n, d)[0])
+
+
+def family_names(family, n, d):
+    """The names of enumerate_set(family, n, d), in its order, as a tuple
+    built once with the family."""
+    return _family(family, n, d)[1]
+
+
+# the families built so far, least recently used first: (family, n,
+# min(d, max(n, 2))) -> (descriptors, names), both tuples.  Together they
+# hold at most MAX_FAMILY_SIZE descriptors; a new family evicts the
+# oldest ones until it fits.
+_FAMILIES = OrderedDict()
+
+
+def _family(family, n, d):
+    """The cached (descriptors, names) of the family; see enumerate_set."""
     if family not in ("S", "S0"):
         raise ValueError("family must be 'S' or 'S0'")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    # no descriptor has degree above max(n, 2)
+    key = (family, n, min(d, max(n, 2)))
+    entry = _FAMILIES.get(key)
+    if entry is not None:
+        _FAMILIES.move_to_end(key)
+        return entry
+    descs = _build_family(family, n, d)
+    entry = descs, tuple(map(Descriptor.name, descs))
+    _FAMILIES[key] = entry
+    held = sum(len(e[0]) for e in _FAMILIES.values())
+    while held > MAX_FAMILY_SIZE:
+        held -= len(_FAMILIES.popitem(last=False)[1][0])
+    return entry
+
+
+def _build_family(family, n, d):
     min_len = 1 if family == "S" else 2
     # counted level by level and only up to the first level past the
     # limit, so a huge n and d cost no more than a small one
@@ -62,14 +98,13 @@ def enumerate_set(family, n, d):
     # checks of Descriptor(...)
     make = tuple.__new__
     out = []
-    # no descriptor has degree above max(n, 2)
     for deg in range(1, min(d, max(n, 2)) + 1):
         if deg == 2:
             out += [make(Descriptor, ("n", (i,))) for i in range(1, n + 1)]
         if deg >= min_len:
             out += [make(Descriptor, ("tr", seq))
                     for seq in combinations(range(1, n + 1), deg)]
-    return out
+    return tuple(out)
 
 
 def evaluate_family(family, tup, d):
@@ -89,7 +124,7 @@ def evaluate_family(family, tup, d):
     members over different rings, or a family enumerate_set refuses.
     """
     ring = oc.ring_of(tup)
-    descs = enumerate_set(family, len(tup), d)
+    descs = _family(family, len(tup), d)[0]
     return _family_values(descs, ring, tup, min(d, len(tup)))
 
 

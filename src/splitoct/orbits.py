@@ -3,6 +3,8 @@ diagonal one-parameter limits, Gram matrices, and brute-force orbit
 equality over GF(2) via the enumerated automorphism group.
 """
 
+from functools import cache
+
 import numpy as np
 
 from . import group as gp
@@ -182,24 +184,54 @@ def gram_matrix(tup):
 # GF(2) brute force
 
 
+@cache
+def _column_codes():
+    """The (N, 8) uint8 table of enumerate_group_array(2): entry [k, j] is
+    column j of element k packed into a byte, coordinate i at bit i."""
+    mats, _words = gp.enumerate_group_array(2)
+    codes = np.zeros(mats.shape[:2], dtype=np.uint8)
+    # one (N, 8) row slice at a time, never an (N, 8, 8) temporary
+    for i in range(8):
+        codes |= mats[:, i, :].astype(np.uint8) << i
+    return codes
+
+
+def _pack(a):
+    """The coordinates of an octonion over GF(2) packed into an int,
+    coordinate i at bit i."""
+    return sum(x.r << i for i, x in enumerate(a.coords()))
+
+
+def _image_codes(cols, code):
+    """The packed images of the vector with packed code `code` under the
+    elements whose column codes are the rows of cols: the XOR of the
+    columns at its set bits."""
+    img = np.zeros(len(cols), dtype=np.uint8)
+    for j in range(8):
+        if code >> j & 1:
+            img ^= cols[:, j]
+    return img
+
+
 def orbit_equal_oracle(a_tup, b_tup):
     """Scan the enumerated automorphism group over GF(2) for an element
     mapping one tuple onto the other.  Returns (found, witness), the
     witness being the first such element in BFS order.
 
-    The candidates are narrowed one member at a time, so the peak memory
-    stays near one image of the group (about 1.5 MB) at any length."""
+    The candidates, an index array into the group in BFS order, are
+    narrowed one member at a time by comparing packed images: a group
+    element is a cached table of 8 one-byte column codes (about 97 KB
+    for the group), and a member's image is the XOR of the columns at
+    its set bits.  The peak memory stays near that table at any length."""
     field = GF(2)
     if oc.ring_of(a_tup, b_tup) is not field:
         raise ValueError("oracle tuples must live over GF(2)")
     mats, _words = gp.enumerate_group_array(2)
-    # the elements mapping every member so far onto its partner, in BFS
-    # order
+    cols = _column_codes()
+    idx = np.arange(len(cols))
     for a, b in zip(a_tup, b_tup):
-        acol = np.array([x.r for x in a.coords()], dtype=np.int64)
-        bcol = np.array([x.r for x in b.coords()], dtype=np.int64)
-        mats = mats[np.all((mats @ acol) % 2 == bcol, axis=1)]
-        if not len(mats):
+        idx = idx[_image_codes(cols[idx], _pack(a)) == _pack(b)]
+        if not len(idx):
             return (False, None)
-    rows = [[field(int(x)) for x in row] for row in mats[0]]
+    rows = [[field(int(x)) for x in row] for row in mats[idx[0]]]
     return (True, gp.GroupElement(field, rows))

@@ -343,7 +343,19 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        # add_terms_into with each coefficient of o negated
+        terms = dict(self.terms)
+        for m, c in o.terms.items():
+            s = terms.get(m)
+            if s is None:
+                terms[m] = -c
+            else:
+                s = s - c
+                if s == 0:
+                    del terms[m]
+                else:
+                    terms[m] = s
+        return Polynomial(self.ring, terms)
 
     def __rsub__(self, other):
         o = self._coerce(other)

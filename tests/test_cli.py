@@ -144,6 +144,73 @@ def test_parse_tuple_file_raises_only_parse_errors(header, rows):
     assert len(tup) == len(rows) and all(a.ring is ring for a in tup)
 
 
+_PARSE_FIELDS = [0, 2, 5, 10 ** 14 + 31]
+# signs, leading zeros and the shortest decimals, which take the integer
+# path or the Fraction path by a single character
+_EDGE_TOKENS = ["-0", "007", "+3", "3/6", ".5", "1.", "-007", "+0", "0/7",
+                "-3/6", "10/2", "5", "-5", "100000000000000031"]
+_SCALAR_TOKENS = st.one_of(st.from_regex(cli._SCALAR, fullmatch=True),
+                           st.sampled_from(_EDGE_TOKENS))
+
+
+def _check_parse_against_fraction(p, tokens):
+    """parse_tuple_file reads each token as ring(Fraction(token)), value
+    and type, or refuses the file when one of those raises."""
+    ring = QQ if p == 0 else GF(p)
+    text = "field %s\n%s\n" % ("q" if p == 0 else "p=%d" % p, " ".join(tokens))
+    try:
+        want = [ring(Fraction(t)) for t in tokens]
+    except ZeroDivisionError:
+        with pytest.raises(cli.ParseError):
+            cli.parse_tuple_file(text)
+        return
+    _ring, (a,) = cli.parse_tuple_file(text)
+    assert list(a.coords()) == want
+    assert [type(x) for x in a.coords()] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("p", _PARSE_FIELDS)
+def test_edge_tokens_parse_as_fractions(p):
+    for token in _EDGE_TOKENS:
+        _check_parse_against_fraction(p, [token] + ["0"] * 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PARSE_FIELDS),
+       st.lists(_SCALAR_TOKENS, min_size=8, max_size=8))
+def test_parsed_scalars_equal_the_fraction_path(p, tokens):
+    _check_parse_against_fraction(p, tokens)
+
+
+@pytest.mark.parametrize("spec", ["q", "p=5"])
+def test_integer_beyond_the_digit_limit_exits_2(tmp_path, capsys, spec):
+    # int() and Fraction() both refuse more than
+    # sys.get_int_max_str_digits() (4,300 by default) digits
+    path = write(tmp_path, "big.oct",
+                 "field %s\n0 %s 0 0 0 0 0 0\n" % (spec, "7" * 5000))
+    _refused(["eval", path], capsys, "line 2: cannot parse scalar")
+
+
+def test_refused_token_is_echoed_in_bounded_length(tmp_path, capsys):
+    short = write(tmp_path, "short.oct", "field q\n0 0 0 0 0 0 0 1e3\n")
+    _refused(["eval", short], capsys, "line 2: cannot parse scalar '1e3'\n")
+    token = "1" * 10 ** 6 + "x"
+    long = write(tmp_path, "long.oct", "field p=5\n0 0 %s 0 0 0 0 0\n" % token)
+    assert cli.main(["eval", long]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: cannot parse scalar '111")
+    assert "(1000001 characters)" in captured.err
+    assert len(captured.err) < 120
+    undefined = write(tmp_path, "undefined.oct",
+                      "field p=5\n1/%s 0 0 0 0 0 0 0\n" % ("5" * 1000))
+    assert cli.main(["eval", undefined]) == 2
+    captured = capsys.readouterr()
+    assert "line 2: scalar '1/555" in captured.err
+    assert "(1002 characters) is undefined in this field" in captured.err
+    assert len(captured.err) < 120
+
+
 _GOOD_HEADERS = ["field q", "field p=2", "field p=5", "field p=1000003"]
 _BAD_HEADERS = ["field p=4", "field p=x", "field", "notafield"]
 _GOOD_TOKENS = st.one_of(st.integers(-3, 3).map(str),
@@ -256,6 +323,17 @@ def test_family_size_limit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "limit of 100000" in captured.err
+
+
+def test_eval_prints_the_largest_family_at_degree_8(tmp_path, capsys):
+    # 17 members at degree 8 is a family of 65,552 descriptors, the
+    # largest under the limit
+    path = write(tmp_path, "n17.oct", _tuple_text(5, 17))
+    assert cli.main(["eval", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 65_552
+    assert lines[0].startswith("tr(1) = ")
+    assert lines[-1].startswith("tr(10,11,12,13,14,15,16,17) = ")
 
 
 def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):

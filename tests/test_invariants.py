@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -187,6 +188,42 @@ def test_enumerate_set_builds_valid_descriptors():
                 descs = inv.enumerate_set(family, n, d)
                 assert all(type(x) is inv.Descriptor for x in descs)
                 assert descs == [inv.Descriptor(*x) for x in descs]
+
+
+def test_enumerate_set_returns_a_new_list():
+    first = inv.enumerate_set("S", 3, 3)
+    want = list(first)
+    first.append(inv.Descriptor("n", (9,)))
+    first.reverse()
+    assert inv.enumerate_set("S", 3, 3) == want
+    assert inv.family_names("S", 3, 3) == tuple(d.name() for d in want)
+
+
+def test_family_cache_keys_by_the_largest_descriptor_degree(monkeypatch):
+    monkeypatch.setattr(inv, "_FAMILIES", OrderedDict())
+    assert inv._family("S", 3, 10 ** 9) is inv._family("S", 3, 3)
+    assert list(inv._FAMILIES) == [("S", 3, 3)]
+
+
+def test_family_cache_holds_at_most_the_family_size_limit(monkeypatch):
+    monkeypatch.setattr(inv, "_FAMILIES", OrderedDict())
+
+    def held():
+        return sum(len(descs) for descs, _names in inv._FAMILIES.values())
+
+    rng = random.Random(5)
+    f5 = GF(5)
+    # 65,552 and 3,808 descriptors fit together; S0 at n = 17 (65,535)
+    # evicts S at n = 17, and S at n = 17 once more evicts both others
+    for family, n, kept in (("S", 17, [("S", 17, 8)]),
+                            ("S", 12, [("S", 17, 8), ("S", 12, 8)]),
+                            ("S0", 17, [("S", 12, 8), ("S0", 17, 8)]),
+                            ("S", 17, [("S", 17, 8)])):
+        tup = tuple(rand_oct(f5, rng) for _ in range(n))
+        values = inv.evaluate_family(family, tup, 8)  # builds the family
+        assert held() <= inv.MAX_FAMILY_SIZE
+        assert list(inv._FAMILIES) == kept
+    assert len(list(values)) == 65_552
 
 
 def test_evaluate_family_generic_octonions():

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from splitoct import group as gp
@@ -248,3 +249,51 @@ def test_closed_d2_class_has_no_rank_dropping_limit():
     e1, e2 = oc.unit_e(QQ, 1), oc.unit_e(QQ, 2)
     for lam in ((1, -1, 0), (-1, 1, 0), (0, 1, -1), (2, -1, -1)):
         assert ob.limit(lam, (e1, e2)) == (e1, e2)
+
+
+def test_xor_image_codes_match_the_matrix_products(g2f2_array):
+    # every element on every vector of GF(2)^8: the XOR of the packed
+    # columns at the set bits is the packed (mats @ v) % 2
+    mats, _words = g2f2_array
+    cols = ob._column_codes()
+    assert cols.shape == (12096, 8) and cols.dtype == np.uint8
+    weights = 1 << np.arange(8)
+    for code in range(256):
+        v = np.array([code >> i & 1 for i in range(8)], dtype=np.int64)
+        assert np.array_equal(ob._image_codes(cols, code),
+                              ((mats @ v) % 2) @ weights)
+
+
+def _matrix_product_oracle(mats, a_tup, b_tup):
+    """The narrowing the packed oracle replaced: the elements whose
+    matrix maps each member onto its partner, by integer products."""
+    field = GF(2)
+    for a, b in zip(a_tup, b_tup):
+        acol = np.array([x.r for x in a.coords()], dtype=np.int64)
+        bcol = np.array([x.r for x in b.coords()], dtype=np.int64)
+        mats = mats[np.all((mats @ acol) % 2 == bcol, axis=1)]
+        if not len(mats):
+            return (False, None)
+    rows = [[field(int(x)) for x in row] for row in mats[0]]
+    return (True, gp.GroupElement(field, rows))
+
+
+def test_oracle_matches_the_matrix_product_narrowing(g2f2_array):
+    mats, _words = g2f2_array
+    field = GF(2)
+    rng = random.Random(101)
+    founds = set()
+    for k in range(40):
+        n = rng.randint(1, 4)
+        tup = tuple(rand_oct(field, rng) for _ in range(n))
+        if k % 2:
+            other = gp.apply_tuple(gf2_element(rng.choice(mats)), tup)
+        else:
+            other = tuple(rand_oct(field, rng) for _ in range(n))
+        found, witness = ob.orbit_equal_oracle(tup, other)
+        ref_found, ref_witness = _matrix_product_oracle(mats, tup, other)
+        assert found == ref_found
+        assert (witness is None if ref_witness is None
+                else witness.rows == ref_witness.rows)
+        founds.add(found)
+    assert founds == {True, False}

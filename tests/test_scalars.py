@@ -278,6 +278,31 @@ def test_polynomial_ring_axioms(base):
         assert (f + g) * h == f * h + g * h
 
 
+@pytest.mark.parametrize("base", [QQ, GF(5)])
+def test_sub_is_the_sum_with_the_negation(base):
+    """f - g, subtracted in place, equals f + (-g) in value, hash and
+    repr, also where some or all terms cancel."""
+    ring = PolynomialRing(base)
+    rng = random.Random(23)
+    coeff = ((lambda r: base(r.randrange(5))) if base is not QQ else
+             (lambda r: Fraction(r.randint(-3, 3), r.choice((1, 1, 2, 3)))))
+    for _ in range(60):
+        f = _random_poly(ring, rng, coeff=coeff)
+        g = _random_poly(ring, rng, coeff=coeff)
+        h = _random_poly(ring, rng, coeff=coeff)
+        f_and_h = f + h
+        for x, y in ((f, g), (f, f), (f, Polynomial(ring, dict(f.terms))),
+                     (f_and_h, f), (f_and_h, h), (g, ring.zero),
+                     (ring.zero, g), (f, 3), (f, Fraction(1, 2))):
+            diff, ref = x - y, x + (-ring(y))
+            assert diff == ref and hash(diff) == hash(ref)
+            assert repr(diff) == repr(ref)
+            assert all(c != 0 for c in diff.terms.values())
+        assert (f - f).terms == {} and (f_and_h - h) == f
+        # the operands are not changed
+        assert f + (-f) == ring.zero and f_and_h == f + h
+
+
 def test_substitute_is_a_homomorphism():
     ring = PolynomialRing(QQ)
     rng = random.Random(11)
