@@ -149,11 +149,16 @@ _TABLE_LIMIT = 1024
 
 
 class PrimeField:
-    """GF(p) for prime p. `GF(p)` returns the interned instance."""
+    """GF(p) for prime p. `GF(p)` returns the interned instance.  A
+    modulus that is not an int (a bool, a float, a string) is refused
+    with ValueError before the lookup, so the answer does not depend on
+    which fields exist."""
 
     _interned = {}
 
     def __new__(cls, p):
+        if type(p) is not int:
+            raise ValueError("modulus must be an int: %r" % (p,))
         inst = cls._interned.get(p)
         if inst is None:
             if not _is_prime(p):
@@ -264,24 +269,35 @@ def add_terms(a, b):
     return terms
 
 
-def mul_terms(a, b):
-    """The product of two term dicts whose monomials are sorted tuples of
-    factors; coefficients lie in a field or in Z, so no product of two
-    of them vanishes."""
-    terms = {}
+def mul_terms_into(acc, a, b):
+    """Add the product of the term dicts a and b, whose monomials are
+    sorted tuples of factors, into acc in place, and return acc; acc is
+    owned as in add_terms_into and is neither a nor b.  Coefficients lie
+    in a field or in Z, so no product of two of them vanishes; a sum
+    that cancels is deleted.  The smaller operand is the outer loop, and
+    its constant monomial () needs no sort."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    items = b.items()
     for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2))
-            s = terms.get(m)
+        for m2, c2 in items:
+            m = tuple(sorted(m1 + m2)) if m1 else m2
+            s = get(m)
             if s is None:
-                terms[m] = c1 * c2
+                acc[m] = c1 * c2
             else:
                 s = s + c1 * c2
                 if s == 0:
-                    del terms[m]
+                    del acc[m]
                 else:
-                    terms[m] = s
-    return terms
+                    acc[m] = s
+    return acc
+
+
+def mul_terms(a, b):
+    """The product of two term dicts, as a new dict."""
+    return mul_terms_into({}, a, b)
 
 
 def var_id(i, j):

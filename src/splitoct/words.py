@@ -35,7 +35,8 @@ from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 
-from .scalars import GF, add_terms, add_terms_into, mul_terms
+from .octonion import ring_of
+from .scalars import GF, add_terms, add_terms_into, mul_terms, mul_terms_into
 
 __all__ = [
     "Descriptor", "eval_descriptor", "degree", "leaves", "left_normed", "evaluate",
@@ -279,7 +280,10 @@ class TraceExpr:
 
     def reduce_mod(self, p):
         """Coefficients reduced into GF(p), p prime; drops vanishing
-        monomials."""
+        monomials.  The residues are plain ints, so arithmetic on the
+        result is over Z: with r = normalize_trace(((1, 2), (1, 2)),
+        char=2), r + r is 2*tr(1,2)*tr(1,2), not 0.  Reduce again after
+        arithmetic."""
         field = GF(p)
         terms = {}
         for m, c in self._terms.items():
@@ -293,8 +297,9 @@ class TraceExpr:
 
     def evaluate(self, tup, cache=None):
         """Evaluate on a tuple of octonions, exact in its ring; cache maps
-        factors, as pairs, to their values."""
-        ring = tup[0].ring
+        factors, as pairs, to their values.  ValueError for an empty
+        tuple or members over different rings."""
+        ring = ring_of(tup)
         if cache is None:
             cache = {}
         acc = ring.zero
@@ -335,25 +340,43 @@ def te_norm(i):
     return TraceExpr({(_factor_id("n", (i,)),): 1})
 
 
-_TE_ONE = te_const(1)
-
-
-def _sum(exprs):
-    """The sum of TraceExprs, added in place into one dict made here, so
-    no partial sum is copied."""
-    acc = {}
-    for e in exprs:
-        add_terms_into(acc, e._terms)
-    return TraceExpr(acc)
-
-
 # ---------------------------------------------------------------------------
 # The rewriting engine
 #
 # A left-normed word is its index tuple, the unit is UNIT = ().  A
-# combination of such words maps each word to its TraceExpr coefficient.
-# The memos live as long as the process; cached results are shared, so
-# callers copy before they mutate.
+# combination of such words maps each word to its coefficient, a coded
+# term dict as in TraceExpr._terms.  Every sum of products is built in
+# one dict owned by the function that builds it: scalars.mul_terms_into
+# adds each product into it in place, a difference is a product with
+# _NEG, and a unit coefficient _ONE is passed through, not multiplied
+# (_product, _mul_into).
+# The memos live as long as the process and their values are shared, so
+# no term dict they hold is ever mutated: _mul_left_normed copies on
+# write the entries it changes, and shares the rest.
+
+_ONE = {(): 1}
+_NEG = {(): -1}
+
+
+def _product(a, b):
+    """a*b for coded term dicts.  A unit factor is passed through, so the
+    result may be a or b itself and is only read."""
+    if a == _ONE:
+        return b
+    if b == _ONE:
+        return a
+    return mul_terms_into({}, a, b)
+
+
+def _mul_into(acc, a, b):
+    """acc += a*b for coded term dicts; a unit factor is passed through
+    as a sum, not multiplied."""
+    if a == _ONE:
+        add_terms_into(acc, b)
+    elif b == _ONE:
+        add_terms_into(acc, a)
+    else:
+        mul_terms_into(acc, a, b)
 
 
 @cache
@@ -368,28 +391,24 @@ def canonical_trace(J):
             break
     else:
         return te_tr(J)
+    acc = {}
     if J[m] == J[m + 1]:
         # the square step; with nothing else in J it is the quadratic
         # relation tr(Z^2) = tr(Z)^2 - 2 n(Z)
         j = J[m]
-        return te_tr((j,)) * canonical_trace(J[:m + 1] + J[m + 2:]) \
-            - te_norm(j) * canonical_trace(J[:m] + J[m + 2:])
-    a, b = J[m], J[m + 1]
-    tab = te_tr((min(a, b), max(a, b)))
+        mul_terms_into(acc, te_tr((j,))._terms,
+                       canonical_trace(J[:m + 1] + J[m + 2:])._terms)
+        mul_terms_into(acc, (-te_norm(j))._terms,
+                       canonical_trace(J[:m] + J[m + 2:])._terms)
+        return TraceExpr(acc)
+    a, b = J[m], J[m + 1]  # a > b
     ta, tb = te_tr((a,)), te_tr((b,))
-    return _sum((-canonical_trace(J[:m] + (b, a) + J[m + 2:]),
-                 ta * canonical_trace(J[:m] + (b,) + J[m + 2:]),
-                 tb * canonical_trace(J[:m] + (a,) + J[m + 2:]),
-                 (tab - ta * tb) * canonical_trace(J[:m] + J[m + 2:])))
-
-
-def _ae_add(acc, key, expr):
-    cur = acc.get(key)
-    cur = expr if cur is None else cur + expr
-    if cur.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = cur
+    tab = te_tr((b, a)) - ta * tb  # tr(ab) - tr(a) tr(b)
+    mul_terms_into(acc, _NEG, canonical_trace(J[:m] + (b, a) + J[m + 2:])._terms)
+    mul_terms_into(acc, ta._terms, canonical_trace(J[:m] + (b,) + J[m + 2:])._terms)
+    mul_terms_into(acc, tb._terms, canonical_trace(J[:m] + (a,) + J[m + 2:])._terms)
+    mul_terms_into(acc, tab._terms, canonical_trace(J[:m] + J[m + 2:])._terms)
+    return TraceExpr(acc)
 
 
 @cache
@@ -399,61 +418,81 @@ def _trace_mul(L, R):
     if not L or len(R) <= 1:
         return canonical_trace(L + R)
     R1, x = R[:-1], R[-1:]
-    tL, tLx, tR1 = canonical_trace(L), canonical_trace(L + x), canonical_trace(R1)
-    return _sum((tL * canonical_trace(R), tLx * tR1, -_trace_mul(L + x, R1),
-                 (_trace_mul(L, R1) - tL * tR1) * canonical_trace(x)))
+    tL, tR1 = canonical_trace(L)._terms, canonical_trace(R1)._terms
+    tLx, tx = canonical_trace(L + x)._terms, canonical_trace(x)._terms
+    acc = mul_terms(tL, canonical_trace(R)._terms)
+    mul_terms_into(acc, tLx, tR1)
+    mul_terms_into(acc, _NEG, _trace_mul(L + x, R1)._terms)
+    mul_terms_into(acc, tx, _trace_mul(L, R1)._terms)
+    mul_terms_into(acc, mul_terms(_NEG, tx), mul_terms(tL, tR1))
+    return TraceExpr(acc)
 
 
 @cache
 def _mul_left_normed(L, R):
     """Product of two left-normed words as a combination of left-normed
-    words and the unit, with TraceExpr coefficients.  Exact identity."""
+    words and the unit, with coded term-dict coefficients.  Exact
+    identity."""
     if len(R) == 1:
-        return {L + R: _TE_ONE}
+        return {L + R: _ONE}
     R1, x = R[:-1], R[-1:]
-    tL, tLx, tR1 = canonical_trace(L), canonical_trace(L + x), canonical_trace(R1)
+    tL, tR1 = canonical_trace(L)._terms, canonical_trace(R1)._terms
+    tLx = canonical_trace(L + x)._terms
     out = dict(_mul_left_normed(L + x, R1))
-    _ae_add(out, R, tL)
-    _ae_add(out, R1, -tLx)
-    _ae_add(out, x, _trace_mul(L, R1) - tL * tR1)
-    _ae_add(out, UNIT, -(_trace_mul(L + x, R1) - tR1 * tLx))
-    return out
+    for k in (R, R1, x, UNIT):  # copy on write; R1 == x when R = (a, a)
+        out[k] = dict(out.get(k, ()))
+    add_terms_into(out[R], tL)
+    mul_terms_into(out[R1], _NEG, tLx)
+    add_terms_into(out[x], _trace_mul(L, R1)._terms)
+    mul_terms_into(out[x], mul_terms(_NEG, tL), tR1)
+    mul_terms_into(out[UNIT], tR1, tLx)
+    mul_terms_into(out[UNIT], _NEG, _trace_mul(L + x, R1)._terms)
+    return {k: c for k, c in out.items() if c}
 
 
 def _to_left_normed(w):
-    if isinstance(w, int):
-        return {(w,): _TE_ONE}
+    """w as a combination of left-normed words and the unit, each with
+    its coded term dict; every coefficient is owned by the result except
+    the shared _ONE of a letter."""
+    if type(w) is int:
+        return {(w,): _ONE}
     ea = _to_left_normed(w[0])
     eb = _to_left_normed(w[1])
     out = {}
     for wa, sa in ea.items():
         for wb, sb in eb.items():
-            s = sa * sb
-            if wa == UNIT:
-                _ae_add(out, wb, s)
-            elif wb == UNIT:
-                _ae_add(out, wa, s)
+            s = _product(sa, sb)
+            if wa == UNIT or wb == UNIT:
+                prod = {wa + wb: _ONE}
             else:
-                for wk, sc in _mul_left_normed(wa, wb).items():
-                    _ae_add(out, wk, s * sc)
-    return out
+                prod = _mul_left_normed(wa, wb)
+            for wk, sc in prod.items():
+                acc = out.get(wk)
+                if acc is None:
+                    acc = out[wk] = {}
+                _mul_into(acc, s, sc)
+    return {k: c for k, c in out.items() if c}
 
 
 def normalize_trace(w, char=0):
     """Exact expansion of tr(w(Z_1,...,Z_n)) over canonical monomials.
 
-    Letters are numbered from 1.  With char=p the coefficients are
-    reduced into GF(p); char=0 keeps them in Z (signs are always
-    computed in Z first).
+    Letters are numbered from 1.  With char=p, p prime, the coefficients
+    are reduced into GF(p); char=0 keeps them in Z (signs are always
+    computed in Z first).  char must be an int >= 0, else ValueError.
     """
+    if type(char) is not int or char < 0:
+        raise ValueError("char must be an int >= 0: %r" % (char,))
     leaves(w)  # refuses a malformed word before any rewriting
     if isinstance(w, int):
         out = canonical_trace((w,))
     else:
         eb = _to_left_normed(w[1])
-        out = _sum(sa * sb * _trace_mul(wa, wb)
-                   for wa, sa in _to_left_normed(w[0]).items()
-                   for wb, sb in eb.items())
+        acc = {}
+        for wa, sa in _to_left_normed(w[0]).items():
+            for wb, sb in eb.items():
+                _mul_into(acc, _product(sa, sb), _trace_mul(wa, wb)._terms)
+        out = TraceExpr(acc)
     if char:
         out = out.reduce_mod(char)
     return out

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from splitoct import group as gp
 from splitoct.invariants import psi
 from splitoct.scalars import (GF, QQ, FpElement, Polynomial, PolynomialRing,
-                              coefficients_in_z_half, var_id, _is_prime)
+                              PrimeField, add_terms, coefficients_in_z_half,
+                              mul_terms, mul_terms_into, var_id, _is_prime)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -251,6 +253,57 @@ def test_int_coefficients_match_the_fraction_path(base):
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValueError):
         GF(6)
+
+
+_NON_INT_MODULI = (5.0, 1000003.0, "7", True, None, Fraction(5))
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_non_int_modulus_rejected_whichever_fields_exist(monkeypatch, fresh):
+    # 5.0 hashes like 5, so without the type check it found GF(5) once
+    # that field existed, and failed in range() before
+    if fresh:
+        monkeypatch.setattr(PrimeField, "_interned", {})
+    for p in _NON_INT_MODULI:
+        with pytest.raises(ValueError, match=re.escape(repr(p))):
+            GF(p)
+    assert GF(5).p == 5
+    for p in _NON_INT_MODULI:
+        with pytest.raises(ValueError, match=re.escape(repr(p))):
+            GF(p)
+
+
+def _old_mul_terms(a, b):
+    """The product of two term dicts as mul_terms built it before the
+    accumulating kernel: every pair of terms, zero sums dropped at the end."""
+    terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2))
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return {m: c for m, c in terms.items() if c}
+
+
+_MONOMIALS = st.lists(st.integers(0, 3), max_size=3).map(lambda m: tuple(sorted(m)))
+_TERM_DICTS = st.dictionaries(_MONOMIALS, st.integers(-3, 3).filter(bool), max_size=5)
+
+
+@given(_TERM_DICTS, _TERM_DICTS, _TERM_DICTS, st.data())
+def test_mul_terms_into_adds_the_old_product(a, b, acc0, data):
+    """mul_terms_into(acc, a, b) is acc + a*b by the old product, also
+    where terms of acc cancel exactly, with no zero coefficient left and
+    a and b untouched."""
+    prod = _old_mul_terms(a, b)
+    if prod:
+        cancel = data.draw(st.sets(st.sampled_from(sorted(prod))))
+        acc0.update((m, -prod[m]) for m in cancel)
+    a0, b0 = dict(a), dict(b)
+    acc = dict(acc0)
+    assert mul_terms_into(acc, a, b) is acc
+    assert acc == add_terms(acc0, prod)
+    assert all(c != 0 for c in acc.values())
+    assert (a, b) == (a0, b0)
+    assert mul_terms(a, b) == prod == mul_terms(b, a)
 
 
 def _random_poly(ring, rng, nvars=4, nterms=4, coeff=None):

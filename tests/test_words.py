@@ -297,6 +297,29 @@ def test_reduce_mod_needs_a_prime():
     assert half.reduce_mod(5) == 3
 
 
+@pytest.mark.parametrize("char", [None, [], 0.0, 2.0, "3", True, -2])
+def test_normalize_trace_needs_an_int_char(char):
+    # None, [] and 0.0 used to normalize over Z, as if char were 0
+    with pytest.raises(ValueError, match=re.escape(repr(char))):
+        wd.normalize_trace(((1, 2), (1, 3)), char=char)
+
+
+def test_reduce_mod_result_is_over_z():
+    r = wd.normalize_trace(((1, 2), (1, 2)), char=2)
+    assert repr(r) == "tr(1,2)*tr(1,2)"
+    assert repr(r + r) == "2*tr(1,2)*tr(1,2)"
+    assert (r + r).reduce_mod(2).is_zero()
+
+
+def test_evaluate_needs_one_ring():
+    rng = random.Random(3)
+    expr = wd.normalize_trace(((1, 2), 1))
+    a, b = rand_oct_q(rng), rand_oct(GF(5), rng)
+    for tup in ((), (a, b), (b, a)):
+        with pytest.raises(ValueError):
+            expr.evaluate(tup)
+
+
 def test_letters_are_numbered_from_one():
     with pytest.raises(ValueError):
         wd.normalize_trace((0, 0))
@@ -371,6 +394,54 @@ def test_factor_ids_in_reverse_order_keep_the_frozen_digest(fresh_factor_table):
     assert expr.terms == {(("tr", (1,)), ("tr", (2,))): 1}
     test_normalize_trace_frozen_digest()
     assert len(wd._FACTORS) == len(pairs)
+
+
+def test_memo_entries_are_never_mutated(monkeypatch):
+    """Every value that canonical_trace, _trace_mul and _mul_left_normed
+    return keeps the coded terms it had when first returned, through all
+    words of degree <= 5 in three letters and then degree-8 words built
+    on those entries: sums go into owned dicts, and _mul_left_normed
+    copies the entries it changes."""
+    names = ("canonical_trace", "_trace_mul", "_mul_left_normed")
+    seen = {}
+
+    def coded(val):
+        if type(val) is wd.TraceExpr:
+            return dict(val._terms)
+        return {k: dict(c) for k, c in val.items()}
+
+    def recording(memo):
+        def call(*args):
+            val = memo(*args)
+            if id(val) not in seen:
+                seen[id(val)] = (val, coded(val))
+            return val
+        return call
+
+    def assert_unchanged():
+        for val, terms in seen.values():
+            assert coded(val) == terms
+
+    for name in names:
+        memo = getattr(wd, name)
+        memo.cache_clear()
+        monkeypatch.setattr(wd, name, recording(memo))
+    for w in labeled_words(5, 3):
+        wd.normalize_trace(w)
+    assert_unchanged()
+    cached = len(seen)
+    assert cached > 1000
+    rng = random.Random(8)
+    shapes = wd.all_shapes(8)
+    for _ in range(12):
+        labels = iter([rng.randint(1, 3) for _ in range(8)])
+
+        def fill(s):
+            return next(labels) if s is None else (fill(s[0]), fill(s[1]))
+
+        wd.normalize_trace(fill(rng.choice(shapes)))
+    assert len(seen) > cached
+    assert_unchanged()
 
 
 def test_factor_table_holds_one_canonical_pair_per_factor(fresh_factor_table):
