@@ -269,13 +269,23 @@ def add_terms(a, b):
     return terms
 
 
+_UNIT = {(): 1}
+
+
 def mul_terms_into(acc, a, b):
     """Add the product of the term dicts a and b, whose monomials are
     sorted tuples of factors, into acc in place, and return acc; acc is
     owned as in add_terms_into and is neither a nor b.  Coefficients lie
     in a field or in Z, so no product of two of them vanishes; a sum
-    that cancels is deleted.  The smaller operand is the outer loop, and
-    its constant monomial () needs no sort."""
+    that cancels is deleted.  A unit operand, the constant 1 (an int,
+    Fraction or FpElement equal to 1), is added, not multiplied.  The
+    smaller operand is the outer loop, and its constant monomial ()
+    needs no sort."""
+    if b == _UNIT:
+        a, b = b, a
+    if a == _UNIT:
+        add_terms_into(acc, b)
+        return acc
     if len(a) > len(b):
         a, b = b, a
     get = acc.get

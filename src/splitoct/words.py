@@ -36,13 +36,12 @@ from functools import cache
 from operator import itemgetter
 
 from .octonion import ring_of
-from .scalars import GF, add_terms, add_terms_into, mul_terms, mul_terms_into
+from .scalars import GF, add_terms, mul_terms, mul_terms_into
 
 __all__ = [
     "Descriptor", "eval_descriptor", "degree", "leaves", "left_normed", "evaluate",
     "TraceExpr", "te_const", "te_tr", "te_norm",
-    "normalize_trace", "multilinear_sign",
-    "all_shapes", "canonical_trace",
+    "normalize_trace", "multilinear_sign", "all_shapes",
 ]
 
 UNIT = ()  # the algebra unit 1_O, as a key in word linear combinations
@@ -100,16 +99,23 @@ def all_shapes(d):
 
 
 def evaluate(w, tup, memo=None):
-    """Evaluate the word on a tuple of octonions by its tree shape."""
-    if isinstance(w, int):
-        if not 1 <= w <= len(tup):
-            raise IndexError("letter %d exceeds tuple length %d" % (w, len(tup)))
+    """Evaluate the word on a tuple of octonions by its tree shape.
+    ValueError for a malformed word, as in leaves; IndexError for a
+    letter above len(tup)."""
+    top = max(leaves(w))
+    if top > len(tup):
+        raise IndexError("letter %d exceeds tuple length %d" % (top, len(tup)))
+    return _evaluate(w, tup, memo)
+
+
+def _evaluate(w, tup, memo):
+    if type(w) is int:
         return tup[w - 1]
     if memo is not None:
         val = memo.get(w)
         if val is not None:
             return val
-    val = evaluate(w[0], tup, memo) * evaluate(w[1], tup, memo)
+    val = _evaluate(w[0], tup, memo) * _evaluate(w[1], tup, memo)
     if memo is not None:
         memo[w] = val
     return val
@@ -233,12 +239,18 @@ class TraceExpr:
     def terms(self):
         return {_decode(m): c for m, c in self._terms.items()}
 
+    def _coerce(self, other):
+        if type(other) is TraceExpr:
+            return other
+        if isinstance(other, (int, Fraction)):
+            return te_const(other)
+        return None
+
     def __add__(self, other):
-        if type(other) is not TraceExpr:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = te_const(other)
-        return TraceExpr(add_terms(self._terms, other._terms))
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return TraceExpr(add_terms(self._terms, o._terms))
 
     __radd__ = __add__
 
@@ -246,34 +258,30 @@ class TraceExpr:
         return TraceExpr({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not TraceExpr:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = te_const(other)
-        return self + (-other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return te_const(other) - self
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
-        if type(other) is TraceExpr:
-            return TraceExpr(mul_terms(self._terms, other._terms))
-        if not isinstance(other, (int, Fraction)):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        if other == 0:
-            return TraceExpr()
-        return TraceExpr({m: c * other for m, c in self._terms.items()})
+        return TraceExpr(mul_terms(self._terms, o._terms))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if type(other) is not TraceExpr:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = te_const(other)
-        return self._terms == other._terms
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._terms == o._terms
 
     def is_zero(self):
         return not self._terms
@@ -291,9 +299,6 @@ class TraceExpr:
             if r:
                 terms[m] = r
         return TraceExpr(terms)
-
-    def monomials_sorted(self):
-        return sorted(self.terms, key=_monomial_key)
 
     def evaluate(self, tup, cache=None):
         """Evaluate on a tuple of octonions, exact in its ring; cache maps
@@ -326,36 +331,47 @@ class TraceExpr:
         return " + ".join(parts)
 
 
+def _factor(kind, indices, c=1):
+    """The coded term dict of c times the factor (kind, indices)."""
+    return {(_factor_id(kind, indices),): c}
+
+
 def te_const(c):
-    if c == 0:
-        return TraceExpr()
-    return TraceExpr({(): c})
+    return TraceExpr({(): c} if c else {})
 
 
 def te_tr(indices):
-    return TraceExpr({(_factor_id("tr", indices),): 1})
+    return TraceExpr(_factor("tr", indices))
 
 
 def te_norm(i):
-    return TraceExpr({(_factor_id("n", (i,)),): 1})
+    return TraceExpr(_factor("n", (i,)))
 
 
 # ---------------------------------------------------------------------------
 # The rewriting engine
 #
-# A left-normed word is its index tuple, the unit is UNIT = ().  A
-# combination of such words maps each word to its coefficient, a coded
-# term dict as in TraceExpr._terms.  Every sum of products is built in
-# one dict owned by the function that builds it: scalars.mul_terms_into
-# adds each product into it in place, a difference is a product with
-# _NEG, and a unit coefficient _ONE is passed through, not multiplied
-# (_product, _mul_into).
-# The memos live as long as the process and their values are shared, so
-# no term dict they hold is ever mutated: _mul_left_normed copies on
-# write the entries it changes, and shares the rest.
+# Every value in here is a coded term dict (a TraceExpr's terms, keyed
+# by factor ids), and only normalize_trace wraps one in a TraceExpr.  A
+# left-normed word is its index tuple, the unit is UNIT = (), and a
+# combination of such words maps each word to its coded term dict.
+# Each rule is one _sum_of_products: scalars.mul_terms_into builds it in
+# a new dict and adds a unit operand _ONE without multiplying, and a
+# difference is a product with _NEG.  The memos live as long as the
+# process and share their values, so no term dict they hold is ever
+# mutated: a changed entry is a new sum, and _product passes a unit
+# factor through only for a result that is just read.
 
 _ONE = {(): 1}
 _NEG = {(): -1}
+
+
+def _sum_of_products(*pairs, start=()):
+    """start plus a*b summed over the pairs (a, b) of coded term dicts."""
+    acc = dict(start)
+    for a, b in pairs:
+        mul_terms_into(acc, a, b)
+    return acc
 
 
 def _product(a, b):
@@ -368,47 +384,34 @@ def _product(a, b):
     return mul_terms_into({}, a, b)
 
 
-def _mul_into(acc, a, b):
-    """acc += a*b for coded term dicts; a unit factor is passed through
-    as a sum, not multiplied."""
-    if a == _ONE:
-        add_terms_into(acc, b)
-    elif b == _ONE:
-        add_terms_into(acc, a)
-    else:
-        mul_terms_into(acc, a, b)
+def _defect(ab, a, b):
+    """tr(AB) - tr(A)tr(B) from the traces ab, a and b: the coefficient
+    of the unit in the swap identity."""
+    return _sum_of_products((_product(_NEG, a), b), start=ab)
 
 
 @cache
 def canonical_trace(J):
     """tr of the left-normed word with index tuple J (tr(1) = 2 for the
-    empty tuple), as a TraceExpr over sorted strictly increasing
-    canonical monomials."""
+    empty tuple), over sorted strictly increasing canonical monomials."""
     if not J:
-        return te_const(2)
-    for m in range(len(J) - 1):
-        if J[m] >= J[m + 1]:
-            break
-    else:
-        return te_tr(J)
-    acc = {}
-    if J[m] == J[m + 1]:
-        # the square step; with nothing else in J it is the quadratic
-        # relation tr(Z^2) = tr(Z)^2 - 2 n(Z)
-        j = J[m]
-        mul_terms_into(acc, te_tr((j,))._terms,
-                       canonical_trace(J[:m + 1] + J[m + 2:])._terms)
-        mul_terms_into(acc, (-te_norm(j))._terms,
-                       canonical_trace(J[:m] + J[m + 2:])._terms)
-        return TraceExpr(acc)
-    a, b = J[m], J[m + 1]  # a > b
-    ta, tb = te_tr((a,)), te_tr((b,))
-    tab = te_tr((b, a)) - ta * tb  # tr(ab) - tr(a) tr(b)
-    mul_terms_into(acc, _NEG, canonical_trace(J[:m] + (b, a) + J[m + 2:])._terms)
-    mul_terms_into(acc, ta._terms, canonical_trace(J[:m] + (b,) + J[m + 2:])._terms)
-    mul_terms_into(acc, tb._terms, canonical_trace(J[:m] + (a,) + J[m + 2:])._terms)
-    mul_terms_into(acc, tab._terms, canonical_trace(J[:m] + J[m + 2:])._terms)
-    return TraceExpr(acc)
+        return {(): 2}
+    m = next((i for i in range(len(J) - 1) if J[i] >= J[i + 1]), None)
+    if m is None:  # J is strictly increasing
+        return _factor("tr", J)
+    P, a, b, Q = J[:m], J[m], J[m + 1], J[m + 2:]
+    ta, tb = _factor("tr", (a,)), _factor("tr", (b,))
+    if a == b:
+        # the square step tr(P a a Q) = tr(a) tr(P a Q) - n(a) tr(P Q); with
+        # nothing else in J it is the quadratic relation
+        return _sum_of_products((ta, canonical_trace(P + (a,) + Q)),
+                                (_factor("n", (a,), -1), canonical_trace(P + Q)))
+    # the swap of the adjacent a > b
+    return _sum_of_products(
+        (_NEG, canonical_trace(P + (b, a) + Q)),
+        (ta, canonical_trace(P + (b,) + Q)),
+        (tb, canonical_trace(P + (a,) + Q)),
+        (_defect(_factor("tr", (b, a)), ta, tb), canonical_trace(P + Q)))
 
 
 @cache
@@ -418,35 +421,32 @@ def _trace_mul(L, R):
     if not L or len(R) <= 1:
         return canonical_trace(L + R)
     R1, x = R[:-1], R[-1:]
-    tL, tR1 = canonical_trace(L)._terms, canonical_trace(R1)._terms
-    tLx, tx = canonical_trace(L + x)._terms, canonical_trace(x)._terms
-    acc = mul_terms(tL, canonical_trace(R)._terms)
-    mul_terms_into(acc, tLx, tR1)
-    mul_terms_into(acc, _NEG, _trace_mul(L + x, R1)._terms)
-    mul_terms_into(acc, tx, _trace_mul(L, R1)._terms)
-    mul_terms_into(acc, mul_terms(_NEG, tx), mul_terms(tL, tR1))
-    return TraceExpr(acc)
+    tL, tR1 = canonical_trace(L), canonical_trace(R1)
+    return _sum_of_products(
+        (tL, canonical_trace(R)),
+        (canonical_trace(L + x), tR1),
+        (_NEG, _trace_mul(L + x, R1)),
+        (canonical_trace(x), _defect(_trace_mul(L, R1), tL, tR1)))
 
 
 @cache
 def _mul_left_normed(L, R):
     """Product of two left-normed words as a combination of left-normed
     words and the unit, with coded term-dict coefficients.  Exact
-    identity."""
+    identity:
+    L(R1 x) = (Lx)R1 + tr(L) R - tr(Lx) R1
+              + (tr(L R1) - tr(L)tr(R1)) x + (tr(Lx)tr(R1) - tr((Lx)R1)) 1."""
     if len(R) == 1:
         return {L + R: _ONE}
     R1, x = R[:-1], R[-1:]
-    tL, tR1 = canonical_trace(L)._terms, canonical_trace(R1)._terms
-    tLx = canonical_trace(L + x)._terms
-    out = dict(_mul_left_normed(L + x, R1))
-    for k in (R, R1, x, UNIT):  # copy on write; R1 == x when R = (a, a)
-        out[k] = dict(out.get(k, ()))
-    add_terms_into(out[R], tL)
-    mul_terms_into(out[R1], _NEG, tLx)
-    add_terms_into(out[x], _trace_mul(L, R1)._terms)
-    mul_terms_into(out[x], mul_terms(_NEG, tL), tR1)
-    mul_terms_into(out[UNIT], tR1, tLx)
-    mul_terms_into(out[UNIT], _NEG, _trace_mul(L + x, R1)._terms)
+    tL, tR1, tLx = canonical_trace(L), canonical_trace(R1), canonical_trace(L + x)
+    out = dict(_mul_left_normed(L + x, R1))  # shares its entries
+    # a changed entry is a new sum; R1 == x when R = (a, a), summed twice
+    for k, *pairs in ((R, (_ONE, tL)),
+                      (R1, (_NEG, tLx)),
+                      (x, (_ONE, _defect(_trace_mul(L, R1), tL, tR1))),
+                      (UNIT, (tR1, tLx), (_NEG, _trace_mul(L + x, R1)))):
+        out[k] = _sum_of_products(*pairs, start=out.get(k, ()))
     return {k: c for k, c in out.items() if c}
 
 
@@ -456,21 +456,14 @@ def _to_left_normed(w):
     the shared _ONE of a letter."""
     if type(w) is int:
         return {(w,): _ONE}
-    ea = _to_left_normed(w[0])
-    eb = _to_left_normed(w[1])
+    ea, eb = map(_to_left_normed, w)
     out = {}
     for wa, sa in ea.items():
         for wb, sb in eb.items():
             s = _product(sa, sb)
-            if wa == UNIT or wb == UNIT:
-                prod = {wa + wb: _ONE}
-            else:
-                prod = _mul_left_normed(wa, wb)
+            prod = {wa + wb: _ONE} if UNIT in (wa, wb) else _mul_left_normed(wa, wb)
             for wk, sc in prod.items():
-                acc = out.get(wk)
-                if acc is None:
-                    acc = out[wk] = {}
-                _mul_into(acc, s, sc)
+                mul_terms_into(out.setdefault(wk, {}), s, sc)
     return {k: c for k, c in out.items() if c}
 
 
@@ -484,18 +477,14 @@ def normalize_trace(w, char=0):
     if type(char) is not int or char < 0:
         raise ValueError("char must be an int >= 0: %r" % (char,))
     leaves(w)  # refuses a malformed word before any rewriting
-    if isinstance(w, int):
-        out = canonical_trace((w,))
-    else:
-        eb = _to_left_normed(w[1])
-        acc = {}
-        for wa, sa in _to_left_normed(w[0]).items():
-            for wb, sb in eb.items():
-                _mul_into(acc, _product(sa, sb), _trace_mul(wa, wb)._terms)
-        out = TraceExpr(acc)
-    if char:
-        out = out.reduce_mod(char)
-    return out
+    # a letter is its product with the unit
+    ea, eb = ({(w,): _ONE}, {UNIT: _ONE}) if type(w) is int else map(_to_left_normed, w)
+    acc = {}
+    for wa, sa in ea.items():
+        for wb, sb in eb.items():
+            mul_terms_into(acc, _product(sa, sb), _trace_mul(wa, wb))
+    out = TraceExpr(acc)
+    return out.reduce_mod(char) if char else out
 
 
 def multilinear_sign(w):

@@ -12,6 +12,7 @@ TEST_ONLY_EXPORTS = {
     "group.automorphism_mask": "the vectorized check of the GF(2) enumeration",
     "octonion.q_form": "the bilinear form of acceptance criterion 5",
     "orbits.theta_curve": "the second path that checks orbits.limit",
+    "words.te_norm": "the norm factor of the expansions test_words writes out by hand",
 }
 
 

@@ -286,13 +286,15 @@ def _old_mul_terms(a, b):
 
 _MONOMIALS = st.lists(st.integers(0, 3), max_size=3).map(lambda m: tuple(sorted(m)))
 _TERM_DICTS = st.dictionaries(_MONOMIALS, st.integers(-3, 3).filter(bool), max_size=5)
+# the unit {(): 1}, which the kernel adds instead of multiplying
+_OPERANDS = st.one_of(st.fixed_dictionaries({(): st.just(1)}), _TERM_DICTS)
 
 
-@given(_TERM_DICTS, _TERM_DICTS, _TERM_DICTS, st.data())
+@given(_OPERANDS, _OPERANDS, _TERM_DICTS, st.data())
 def test_mul_terms_into_adds_the_old_product(a, b, acc0, data):
     """mul_terms_into(acc, a, b) is acc + a*b by the old product, also
-    where terms of acc cancel exactly, with no zero coefficient left and
-    a and b untouched."""
+    where terms of acc cancel exactly and where a or b is the unit, with
+    no zero coefficient left and a and b untouched."""
     prod = _old_mul_terms(a, b)
     if prod:
         cancel = data.draw(st.sets(st.sampled_from(sorted(prod))))
@@ -304,6 +306,20 @@ def test_mul_terms_into_adds_the_old_product(a, b, acc0, data):
     assert all(c != 0 for c in acc.values())
     assert (a, b) == (a0, b0)
     assert mul_terms(a, b) == prod == mul_terms(b, a)
+
+
+@pytest.mark.parametrize("base", [QQ, GF(5)])
+def test_one_times_f_is_f_in_a_new_dict(base):
+    """The unit coefficient of ring.one, 1 over QQ and FpElement(1) over
+    GF(5), makes the kernel add f's terms: the product equals f, holds
+    f's own coefficients and is a new dict."""
+    ring = PolynomialRing(base)
+    f = (ring(Fraction(1, 2)) * ring.var(1, 1) + ring(3) * ring.var(2, 5)
+         - ring.var(1, 2) * ring.var(1, 2) + ring(4))
+    assert ring.one.terms == {(): 1} and len(f.terms) == 4
+    for prod in (ring.one * f, f * ring.one):
+        assert prod == f and prod.terms is not f.terms
+        assert all(prod.terms[m] is c for m, c in f.terms.items())
 
 
 def _random_poly(ring, rng, nvars=4, nterms=4, coeff=None):

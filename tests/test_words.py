@@ -54,6 +54,20 @@ def test_evaluate_leaf_and_errors():
         wd.evaluate(2, (e1,))
 
 
+def test_evaluate_refuses_what_normalize_trace_refuses():
+    # a malformed word raises the ValueError of leaves, naming the node,
+    # before any product; a letter above the tuple length stays IndexError
+    tup = (oc.unit_e(QQ, 1), oc.unit_v(QQ, 1), oc.unit_u(QQ, 2))
+    for bad, node in (((1, 2, 3), (1, 2, 3)), ([1, 2], [1, 2]), ((True, 2), True),
+                      ((1.0, 2), 1.0), ((0, 2), (0, 2))):
+        for f in (lambda w: wd.evaluate(w, tup), lambda w: wd.evaluate(w, tup, {}),
+                  wd.normalize_trace):
+            with pytest.raises(ValueError, match=re.escape(repr(node))):
+                f(bad)
+    with pytest.raises(IndexError):
+        wd.evaluate((1, 4), tup)
+
+
 def test_evaluate_generating_witness():
     v1, v2, v3 = (oc.unit_v(QQ, i) for i in (1, 2, 3))
     d = oc.unit_e(QQ, 1) - oc.unit_e(QQ, 2)
@@ -350,7 +364,7 @@ def test_trace_mul_matches_product_trace():
     for tup in tups:
         cache = {}
         for L, R in pairs:
-            lhs = wd._trace_mul(L, R).evaluate(tup, cache)
+            lhs = wd.TraceExpr(wd._trace_mul(L, R)).evaluate(tup, cache)
             prod = wd.evaluate(wd.left_normed(L), tup) \
                 * wd.evaluate(wd.left_normed(R), tup)
             assert lhs == prod.trace(), (L, R)
@@ -370,7 +384,7 @@ def test_normalize_trace_frozen_digest():
 
 @pytest.fixture
 def fresh_factor_table(monkeypatch):
-    """An empty factor table.  The memos hold expressions coded with the
+    """An empty factor table.  The memos hold term dicts coded with the
     ids of the table in use, so they are cleared on entry and on exit."""
     memos = (wd.canonical_trace, wd._trace_mul, wd._mul_left_normed)
     for memo in memos:
@@ -397,22 +411,24 @@ def test_factor_ids_in_reverse_order_keep_the_frozen_digest(fresh_factor_table):
 
 
 def test_memo_entries_are_never_mutated(monkeypatch):
-    """Every value that canonical_trace, _trace_mul and _mul_left_normed
-    return keeps the coded terms it had when first returned, through all
-    words of degree <= 5 in three letters and then degree-8 words built
-    on those entries: sums go into owned dicts, and _mul_left_normed
-    copies the entries it changes."""
-    names = ("canonical_trace", "_trace_mul", "_mul_left_normed")
+    """Every value that the memos canonical_trace, _trace_mul and
+    _mul_left_normed and the expansion _to_left_normed return is a plain
+    dict, never a TraceExpr, and keeps the coded terms it had when first
+    returned, through all words of degree <= 5 in three letters and then
+    degree-8 words built on those entries: sums go into owned dicts, and
+    _mul_left_normed makes a new sum of each entry it changes."""
+    names = ("canonical_trace", "_trace_mul", "_mul_left_normed", "_to_left_normed")
     seen = {}
 
     def coded(val):
-        if type(val) is wd.TraceExpr:
-            return dict(val._terms)
-        return {k: dict(c) for k, c in val.items()}
+        # a term dict maps monomials to numbers, a word combination maps
+        # words to term dicts
+        assert type(val) is dict
+        return {k: dict(c) if type(c) is dict else c for k, c in val.items()}
 
-    def recording(memo):
+    def recording(fn):
         def call(*args):
-            val = memo(*args)
+            val = fn(*args)
             if id(val) not in seen:
                 seen[id(val)] = (val, coded(val))
             return val
@@ -423,9 +439,10 @@ def test_memo_entries_are_never_mutated(monkeypatch):
             assert coded(val) == terms
 
     for name in names:
-        memo = getattr(wd, name)
-        memo.cache_clear()
-        monkeypatch.setattr(wd, name, recording(memo))
+        fn = getattr(wd, name)
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+        monkeypatch.setattr(wd, name, recording(fn))
     for w in labeled_words(5, 3):
         wd.normalize_trace(w)
     assert_unchanged()
