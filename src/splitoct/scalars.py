@@ -269,6 +269,23 @@ def add_terms(a, b):
     return terms
 
 
+def sub_terms(a, b):
+    """The difference a - b of two term dicts, as a new dict: add_terms
+    with each coefficient of b negated."""
+    terms = dict(a)
+    for m, c in b.items():
+        s = terms.get(m)
+        if s is None:
+            terms[m] = -c
+        else:
+            s = s - c
+            if s == 0:
+                del terms[m]
+            else:
+                terms[m] = s
+    return terms
+
+
 _UNIT = {(): 1}
 
 
@@ -308,6 +325,19 @@ def mul_terms_into(acc, a, b):
 def mul_terms(a, b):
     """The product of two term dicts, as a new dict."""
     return mul_terms_into({}, a, b)
+
+
+def evaluate_terms(terms, ring, values):
+    """The term dict evaluated in ring by the ring's own arithmetic: each
+    coefficient is coerced by ring(c) and each monomial id f is read as
+    values[f], an element of ring."""
+    acc = ring.zero
+    for m, c in terms.items():
+        val = ring(c)
+        for f in m:
+            val = val * values[f]
+        acc = acc + val
+    return acc
 
 
 def var_id(i, j):
@@ -369,19 +399,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # add_terms_into with each coefficient of o negated
-        terms = dict(self.terms)
-        for m, c in o.terms.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = -c
-            else:
-                s = s - c
-                if s == 0:
-                    del terms[m]
-                else:
-                    terms[m] = s
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, sub_terms(self.terms, o.terms))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -489,14 +507,8 @@ class Polynomial:
         if retained and target is not self.ring:
             raise ValueError("retained variables need the original ring")
         if not isinstance(target, PolynomialRing):
-            values = {v: target(a) for v, a in values.items()}
-            acc = target.zero
-            for m, c in self.terms.items():
-                val = target(c)
-                for v in m:
-                    val = val * values[v]
-                acc = acc + val
-            return acc
+            return evaluate_terms(self.terms, target,
+                                  {v: target(a) for v, a in values.items()})
         values = {v: target(a).terms for v, a in values.items()}
         one = target.coefficient(1)
         values.update((v, {(v,): one}) for v in retained)

@@ -5,7 +5,7 @@ the skew symmetrized degree-4 trace, and a linear-algebra
 decomposability checker over the base field of its target.
 """
 
-from functools import cache
+from itertools import combinations_with_replacement
 
 from . import linalg
 from . import octonion as oc
@@ -139,6 +139,8 @@ def decomposability_check(target, generators):
     decomposability question pass only generators of strictly lower
     degree, so every candidate is a product of at least two of them.
     The linear algebra runs over the base field of the target's ring.
+    The search tries every multiset of at most d generators, d the
+    target's degree, so its cost grows as C(g + d, d) for g generators.
     Returns (expressible, certificate) where the certificate maps a
     tuple of generator labels to its coefficient.
 
@@ -155,22 +157,15 @@ def decomposability_check(target, generators):
             raise ValueError("generator %r is not multihomogeneous" % (label,))
         gens.append((label, g, gm))
 
-    @cache
-    def products_with_multidegree(start, mdeg):
-        """All multisets of generator indices >= start whose multidegrees
-        sum to mdeg, as sorted index tuples."""
-        if not any(mdeg):
-            return [()]
-        out = []
-        for k in range(start, len(gens)):
-            md = gens[k][2]
-            if any(m > t for m, t in zip(md, mdeg)):
-                continue
-            rest = tuple(t - m for t, m in zip(mdeg, md))
-            out.extend((k,) + tail for tail in products_with_multidegree(k, rest))
-        return out
-
-    combos = products_with_multidegree(0, tmdeg)
+    # every multiset of generator indices whose multidegrees sum to the
+    # target's, as a sorted index tuple, in lexicographic order; a
+    # generator above the target's degree in some slot is in none
+    fits = [k for k, (_lbl, _g, gm) in enumerate(gens)
+            if all(m <= t for m, t in zip(gm, tmdeg))]
+    combos = sorted(
+        combo for size in range(sum(tmdeg) + 1)
+        for combo in combinations_with_replacement(fits, size)
+        if all(sum(gens[k][2][i] for k in combo) == t for i, t in enumerate(tmdeg)))
     products = []
     for combo in combos:
         p = target.ring.one

@@ -36,7 +36,8 @@ from functools import cache
 from operator import itemgetter
 
 from .octonion import ring_of
-from .scalars import GF, add_terms, mul_terms, mul_terms_into
+from .scalars import (GF, QQ, PolynomialRing, add_terms, evaluate_terms, mul_terms,
+                      mul_terms_into, sub_terms)
 
 __all__ = [
     "Descriptor", "eval_descriptor", "degree", "leaves", "left_normed", "evaluate",
@@ -225,7 +226,10 @@ class TraceExpr:
     ("tr", (i1,...,ik)) or ("n", (i,)) (plain tuples equal to their
     Descriptor), to its coefficient, an exact integer or Fraction.  It is
     a decoded copy: the expression itself keys its terms by sorted
-    tuples of factor ids.
+    tuples of factor ids.  A scalar operand and a te_const constant
+    take the coefficient rule of the polynomials over QQ,
+    PolynomialRing(QQ).coefficient: an int when integral (a bool is the
+    int it equals), otherwise a Fraction.
     """
 
     __slots__ = ("_terms",)
@@ -261,7 +265,7 @@ class TraceExpr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return TraceExpr(sub_terms(self._terms, o._terms))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -302,22 +306,19 @@ class TraceExpr:
 
     def evaluate(self, tup, cache=None):
         """Evaluate on a tuple of octonions, exact in its ring; cache maps
-        factors, as pairs, to their values.  ValueError for an empty
-        tuple or members over different rings."""
+        factors, as pairs, to their values.  The missing factors are
+        filled in first, then scalars.evaluate_terms sums the terms.
+        ValueError for an empty tuple or members over different rings."""
         ring = ring_of(tup)
         if cache is None:
             cache = {}
-        acc = ring.zero
-        for m, c in self._terms.items():
-            val = ring(c)
-            for f in m:
-                pair = _FACTORS[f]
-                fv = cache.get(pair)
-                if fv is None:
-                    fv = cache[pair] = eval_descriptor(Descriptor(*pair), tup)
-                val = val * fv
-            acc = acc + val
-        return acc
+        values = {}
+        for f in {f for m in self._terms for f in m}:
+            pair = _FACTORS[f]
+            if pair not in cache:
+                cache[pair] = eval_descriptor(Descriptor(*pair), tup)
+            values[f] = cache[pair]
+        return evaluate_terms(self._terms, ring, values)
 
     def __repr__(self):
         if not self._terms:
@@ -337,6 +338,7 @@ def _factor(kind, indices, c=1):
 
 
 def te_const(c):
+    c = PolynomialRing(QQ).coefficient(c)
     return TraceExpr({(): c} if c else {})
 
 

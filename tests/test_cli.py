@@ -1,7 +1,12 @@
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -447,6 +452,42 @@ def test_byte_determinism(tmp_path, capsys):
     cli.main(["verify"])
     v2 = capsys.readouterr().out
     assert v1 == v2
+
+
+# runs every argv of sys.argv[1] through cli.main in this interpreter,
+# printing each exit code after its output
+_SEED_SCRIPT = """\
+import json, sys
+from splitoct import cli
+for argv in json.loads(sys.argv[1]):
+    print("exit", cli.main(argv))
+"""
+
+
+def test_stdout_is_the_same_under_every_hash_seed(tmp_path):
+    """stdout of eval, separate, limit and verify does not depend on the
+    hash seed: the factor-id order and set iteration are the same in
+    every process."""
+    fp = write(tmp_path, "fp.oct", "field p=7\n1 2 0 3 0 0 5 6\n0 4 1 0 2 0 0 3\n"
+               "6 0 0 1 1 5 2 0\n")
+    qa = write(tmp_path, "qa.oct", "field q\n1/2 0 -3 0 1 0 2/3 0\n"
+               "0 1 0 0 -1 0 0 5\n")
+    qb = write(tmp_path, "qb.oct", "field q\n0 1/2 0 -3 0 1 0 2/3\n"
+               "5 0 1 0 0 -1 0 0\n")
+    argvs = [["eval", fp, "--family", "S0", "--degree", "5"],
+             ["eval", qa, "--family", "S", "--degree", "5"],
+             ["separate", qa, qb, "--degree", "4"],
+             ["limit", qa, "--lambda=0,1,-1"],
+             ["verify"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _SEED_SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].decode().count("\nexit 0\n") == len(argvs)
 
 
 def test_missing_file(capsys):

@@ -256,6 +256,17 @@ def test_trace_expr_constant_prints_as_its_coefficient():
     assert repr(Fraction(1, 2) * wd.te_norm(1) + 3) == "3 + 1/2*n(1)"
 
 
+def test_trace_expr_coefficients_follow_the_polynomial_rule():
+    # a bool is the int it equals and an integral Fraction is an int, as
+    # PolynomialRing(QQ).coefficient stores them
+    t = wd.te_tr((1,))
+    assert t + True == t + 1
+    assert repr(t + True) == "1 + tr(1)"
+    assert repr(wd.te_const(True)) == "1"
+    c = wd.te_const(Fraction(4, 2))
+    assert c.terms == {(): 2} and type(c.terms[()]) is int
+
+
 _TE_SCALARS = st.one_of(st.integers(-5, 5),
                         st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
 _TE_ATOMS = st.one_of(
