@@ -8,6 +8,9 @@ one descriptor on ring elements; evaluate_family evaluates a whole
 family on integer rows that the private _lift makes once per tuple.  It
 is checked against eval_descriptor, which shares none of the lift, its
 scales or its wrap, only the formulas octonion._zorn and _zorn_trace.
+descriptor_polynomial runs eval_descriptor on generic octonions over a
+polynomial ring, where Octonion products and traces sum the same
+formula, as the table octonion._ZORN_TABLE, straight into term dicts.
 The matrix side uses the same descriptors, with n(i) read as det and
 traces of associative products of generic 2x2 matrices.
 """

@@ -9,16 +9,23 @@ run in the same order.
 
 The product is one formula, _zorn, and the trace of a product another,
 _zorn_trace: coordinates 0 and 7 of _zorn, 8 scalar products instead of
-32.  Both run on the ring elements themselves, by the ring's own
-arithmetic, over every ring and with no lift: a * b is _zorn on the two
-coordinate tuples, and trace_mul is _zorn_trace on them.
-invariants.evaluate_family runs the same two formulas on integer rows
+32.  Over GF(p) and QQ both run on the ring elements themselves, by the
+ring's own arithmetic and with no lift: a * b is _zorn on the two
+coordinate tuples, and trace_mul is _zorn_trace on them.  Over a
+PolynomialRing the same formula is the table _ZORN_TABLE of signed
+index pairs, and each output coordinate is one term dict that the
+product owns and sums every signed product into with
+scalars.mul_terms_into, with no temporary polynomial; _zorn on the
+Polynomial elements is the slow exact reference it is tested against.
+invariants.evaluate_family runs _zorn and _zorn_trace on integer rows
 that a lift private to it makes from a tuple.  The bilinear form
 q(a, b) = tr(a conj(b)) is one call of trace_mul.  ring_of is the one
 check that a tuple lives over one ring.
 """
 
 from operator import add, neg, sub
+
+from .scalars import Polynomial, PolynomialRing, mul_terms_into
 
 __all__ = [
     "Octonion", "dot3", "cross3", "basis", "identity", "zero",
@@ -60,6 +67,40 @@ def _zorn_trace(a, b):
     b0, b1, b2, b3, b4, b5, b6, b7 = b
     return (a0 * b0 + a7 * b7 + (a1 * b4 + a2 * b5 + a3 * b6)
             + (a4 * b1 + a5 * b2 + a6 * b3))
+
+
+# _zorn as signed index pairs: coordinate k of a * b is the sum of
+# s * a[i] * b[j] over the rows (i, j, s) of _ZORN_TABLE[k]
+_ZORN_TABLE = (
+    ((0, 0, 1), (1, 4, 1), (2, 5, 1), (3, 6, 1)),
+    ((0, 1, 1), (1, 7, 1), (5, 6, -1), (6, 5, 1)),
+    ((0, 2, 1), (2, 7, 1), (6, 4, -1), (4, 6, 1)),
+    ((0, 3, 1), (3, 7, 1), (4, 5, -1), (5, 4, 1)),
+    ((4, 0, 1), (7, 4, 1), (2, 3, 1), (3, 2, -1)),
+    ((5, 0, 1), (7, 5, 1), (3, 1, 1), (1, 3, -1)),
+    ((6, 0, 1), (7, 6, 1), (1, 2, 1), (2, 1, -1)),
+    ((7, 7, 1), (4, 1, 1), (5, 2, 1), (6, 3, 1)),
+)
+# coordinates 0 and 7, the trace of the product, as one sum
+_TRACE_ROWS = (_ZORN_TABLE[0] + _ZORN_TABLE[7],)
+
+
+def _zorn_terms(a, b, table):
+    """One term dict per row of table, the sum of s * a[i] * b[j] over its
+    (i, j, s), for z-order tuples a and b of polynomials: each sum is
+    one dict that the caller owns, and every product is added into it by
+    mul_terms_into.  A negative product reads a negated copy of a[i], a
+    fresh dict, so no accumulator is ever an operand."""
+    ta = [x.terms for x in a]
+    tb = [x.terms for x in b]
+    out = []
+    for row in table:
+        acc = {}
+        for i, j, s in row:
+            x = ta[i] if s > 0 else {m: -c for m, c in ta[i].items()}
+            mul_terms_into(acc, x, tb[j])
+        out.append(acc)
+    return out
 
 
 def ring_of(*tuples):
@@ -108,14 +149,24 @@ class Octonion:
         return Octonion(self.ring, tuple(map(neg, self._c)))
 
     def __mul__(self, other):
-        """_zorn on the ring elements of the two factors."""
+        """_zorn on the ring elements of the two factors; over a
+        polynomial ring _ZORN_TABLE summed into term dicts."""
         self._check(other)
-        return Octonion(self.ring, _zorn(self._c, other._c))
+        ring = self.ring
+        if type(ring) is PolynomialRing:
+            return Octonion(ring, tuple(
+                Polynomial(ring, t)
+                for t in _zorn_terms(self._c, other._c, _ZORN_TABLE)))
+        return Octonion(ring, _zorn(self._c, other._c))
 
     def trace_mul(self, other):
         """tr(self * other) by _zorn_trace on the ring elements, 8 scalar
-        products instead of the 32 of the full product."""
+        products instead of the 32 of the full product; over a
+        polynomial ring the same 8 summed into one term dict."""
         self._check(other)
+        ring = self.ring
+        if type(ring) is PolynomialRing:
+            return Polynomial(ring, _zorn_terms(self._c, other._c, _TRACE_ROWS)[0])
         return _zorn_trace(self._c, other._c)
 
     def scale(self, s):

@@ -286,9 +286,6 @@ def sub_terms(a, b):
     return terms
 
 
-_UNIT = {(): 1}
-
-
 def mul_terms_into(acc, a, b):
     """Add the product of the term dicts a and b, whose monomials are
     sorted tuples of factors, into acc in place, and return acc; acc is
@@ -297,12 +294,17 @@ def mul_terms_into(acc, a, b):
     that cancels is deleted.  A unit operand, the constant 1 (an int,
     Fraction or FpElement equal to 1), is added, not multiplied.  The
     smaller operand is the outer loop, and its constant monomial ()
-    needs no sort."""
-    if b == _UNIT:
-        a, b = b, a
-    if a == _UNIT:
-        add_terms_into(acc, b)
-        return acc
+    needs no sort.  An FpElement constant is tested for 1 by its residue,
+    so no Python-level FpElement.__eq__ runs."""
+    if () in b and len(b) == 1:
+        c = b[()]
+        if (c.r if type(c) is FpElement else c) == 1:
+            a, b = b, a
+    if () in a and len(a) == 1:
+        c = a[()]
+        if (c.r if type(c) is FpElement else c) == 1:
+            add_terms_into(acc, b)
+            return acc
     if len(a) > len(b):
         a, b = b, a
     get = acc.get

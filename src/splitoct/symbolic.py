@@ -133,11 +133,14 @@ def decomposability_check(target, generators):
     """Is the target polynomial a linear combination of products of the
     generator polynomials, within its multidegree component?
 
-    Inputs must be multihomogeneous.  Candidate products run over all
-    multisets of generators whose multidegrees sum to the target's (a
-    single generator of full degree counts as a product of one).  For the
-    decomposability question pass only generators of strictly lower
-    degree, so every candidate is a product of at least two of them.
+    Inputs must be multihomogeneous; multidegrees count the slots of the
+    target's and the generators' variables together.  Candidate products
+    run over all multisets of generators whose multidegrees sum to the
+    target's (a single generator of full degree counts as a product of
+    one, and the empty product 1 is a candidate for a zero or constant
+    target).  For the decomposability question pass only generators of
+    strictly lower degree, so every candidate is a product of at least
+    two of them.
     The linear algebra runs over the base field of the target's ring.
     The search tries every multiset of at most d generators, d the
     target's degree, so its cost grows as C(g + d, d) for g generators.
@@ -147,7 +150,8 @@ def decomposability_check(target, generators):
     generators: list of (label, polynomial) pairs.
     """
     field = target.ring.base
-    n = max((i for i, _j in target.variables()), default=1)
+    n = max((i for f in (target, *(g for _lbl, g in generators))
+             for i, _j in f.variables()), default=1)
     tmdeg = target.multidegree(n)
     gens = []
     for label, g in generators:

@@ -5,6 +5,7 @@ from pathlib import Path
 from splitoct import octonion as oc
 from splitoct import scalars
 from splitoct import words as wd
+from splitoct.invariants import generic_octonion
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +48,8 @@ def test_tracer_installs_counts_and_uninstalls():
         importlib.import_module("splitoct." + mod)
     before = (wd.normalize_trace, wd.evaluate, wd.TraceExpr.__dict__["__mul__"],
               oc.Octonion.__dict__["__mul__"])
+    ring = scalars.PolynomialRing(scalars.QQ)
+    z1, z2 = (generic_octonion(ring, i) for i in (1, 2))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -55,10 +58,15 @@ def test_tracer_installs_counts_and_uninstalls():
         wd.te_tr((1,)) * wd.te_tr((2,))
         e = oc.unit_e(scalars.QQ, 1)
         wd.evaluate((1, 1), (e,))
+        z1 * z2
     finally:
         tracer.uninstall()
     assert (wd.normalize_trace, wd.evaluate, wd.TraceExpr.__dict__["__mul__"],
             oc.Octonion.__dict__["__mul__"]) == before
     for name in ("words.normalize_trace.deg3", "words.TraceExpr.mul",
-                 "words.evaluate", "octonion.mul.qq"):
+                 "words.evaluate", "octonion.mul.qq", "octonion.mul.poly"):
         assert tracer.stats[name][0] == 1, name
+    # the polynomial product is fused below Octonion.__mul__, so it is
+    # counted where the per-layer metrics look and never as a
+    # Polynomial product
+    assert "scalars.Polynomial.mul" not in tracer.stats

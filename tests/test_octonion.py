@@ -242,9 +242,9 @@ _MONOMIAL_FACTOR = st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(1
 
 @st.composite
 def _sparse_polynomial_octonion_pair(draw):
-    """Two octonions over QQ[z] or GF(5)[z] whose coordinates are zero
-    or sums of at most three monomials."""
-    base = draw(st.sampled_from((QQ, GF(5))))
+    """Two octonions over QQ[z], GF(2)[z] or GF(5)[z] whose coordinates
+    are zero or sums of at most three monomials."""
+    base = draw(st.sampled_from((QQ, GF(2), GF(5))))
     ring = PolynomialRing(base)
 
     def coordinate():
@@ -265,8 +265,21 @@ def _sparse_polynomial_octonion_pair(draw):
 @settings(max_examples=60, deadline=None)
 @given(_sparse_polynomial_octonion_pair())
 def test_trace_mul_is_the_trace_of_the_product_over_polynomials(pair):
+    """The fused product and trace over a polynomial ring equal _zorn and
+    _zorn_trace on the same Polynomial coordinates, the slow exact
+    reference, and store no zero coefficient, also where the terms of
+    a * a cancel (u x u and v x v)."""
     a, b = pair
-    assert a.trace_mul(b) == (a * b).trace()
+    ring = a.ring
+    ab = a * b
+    assert ab == oc.Octonion(ring, oc._zorn(a.coords(), b.coords()))
+    assert a.trace_mul(b) == oc._zorn_trace(a.coords(), b.coords()) == ab.trace()
+    neg_a = -a
+    square = a * neg_a
+    assert square == -(a * a) == oc.Octonion(ring, oc._zorn(a.coords(), neg_a.coords()))
+    for prod in (ab, square):
+        assert all(c != 0 for x in prod.coords() for c in x.terms.values())
+    assert all(c != 0 for c in a.trace_mul(neg_a).terms.values())
 
 
 def test_trace_mul_refuses_what_the_product_refuses():

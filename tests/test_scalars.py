@@ -322,6 +322,27 @@ def test_one_times_f_is_f_in_a_new_dict(base):
         assert all(prod.terms[m] is c for m, c in f.terms.items())
 
 
+def test_gf_p_constants_are_tested_for_one_without_fp_eq(monkeypatch):
+    """Above the preallocated table every GF(p) product is a new element,
+    so f's own coefficient objects in the product show that a unit
+    FpElement, on either side, still takes the shortcut; neither it nor
+    a constant other than 1 is compared by FpElement.__eq__."""
+    field = GF(10 ** 14 + 31)
+    ring = PolynomialRing(field)
+    f = (ring(2) * ring.var(1, 1) + ring(3) * ring.var(2, 5)).terms
+    one, three = {(): field(1)}, {(): field(3)}
+
+    def refuse(self, other):
+        raise AssertionError("FpElement.__eq__ called")
+
+    monkeypatch.setattr(FpElement, "__eq__", refuse)
+    prods = (mul_terms(one, f), mul_terms(f, one), mul_terms(three, f))
+    monkeypatch.undo()
+    for prod in prods[:2]:
+        assert prod == f and prod is not f
+        assert all(prod[m] is c for m, c in f.items())
+    assert prods[2] == {m: 3 * c for m, c in f.items()}
+
 def _random_poly(ring, rng, nvars=4, nterms=4, coeff=None):
     out = ring.zero
     for _ in range(nterms):

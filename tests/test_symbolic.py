@@ -126,3 +126,19 @@ def test_inhomogeneous_generator_rejected():
     bad = ring.var(1, 1) + ring.var(1, 1) * ring.var(1, 2)
     with pytest.raises(ValueError):
         sy.decomposability_check(ring.var(1, 1), [("bad", bad)])
+
+
+def test_slots_count_the_generators_variables_too():
+    # n comes from the target and the generators together: a generator
+    # in a slot above every variable of the target used to raise
+    # IndexError from Polynomial.multidegree
+    ring = PolynomialRing(QQ)
+    tr1, tr2 = (inv.descriptor_polynomial(inv.Descriptor("tr", (i,)), ring)
+                for i in (1, 2))
+    gens = [("tr(2)", tr2)]
+    assert sy.decomposability_check(tr1, gens) == (False, None)
+    # zero is the empty combination, a constant a multiple of the empty product
+    assert sy.decomposability_check(ring.zero, gens) == (True, {})
+    assert sy.decomposability_check(ring(3), gens) == (True, {(): 3})
+    assert sy.decomposability_check(tr1 * tr2, gens + [("tr(1)", tr1)]) == (
+        True, {("tr(2)", "tr(1)"): 1})
