@@ -15,8 +15,10 @@ coordinate tuples, and trace_mul is _zorn_trace on them.  Over a
 PolynomialRing the same formula is the table _ZORN_TABLE of signed
 index pairs, and each output coordinate is one term dict that the
 product owns and sums every signed product into with
-scalars.mul_terms_into, with no temporary polynomial; _zorn on the
-Polynomial elements is the slow exact reference it is tested against.
+scalars.mul_terms_into, with no temporary polynomial; over GF(p)[z]
+those sums run on int residues in Z, and ring.reduce takes each
+finished dict mod p once.  _zorn on the Polynomial elements is the
+slow exact reference it is tested against.
 invariants.evaluate_family runs _zorn and _zorn_trace on integer rows
 that a lift private to it makes from a tuple.  The bilinear form
 q(a, b) = tr(a conj(b)) is one call of trace_mul.  ring_of is the one
@@ -150,12 +152,13 @@ class Octonion:
 
     def __mul__(self, other):
         """_zorn on the ring elements of the two factors; over a
-        polynomial ring _ZORN_TABLE summed into term dicts."""
+        polynomial ring _ZORN_TABLE summed into term dicts, each reduced
+        once."""
         self._check(other)
         ring = self.ring
         if type(ring) is PolynomialRing:
             return Octonion(ring, tuple(
-                Polynomial(ring, t)
+                Polynomial(ring, ring.reduce(t))
                 for t in _zorn_terms(self._c, other._c, _ZORN_TABLE)))
         return Octonion(ring, _zorn(self._c, other._c))
 
@@ -166,7 +169,8 @@ class Octonion:
         self._check(other)
         ring = self.ring
         if type(ring) is PolynomialRing:
-            return Polynomial(ring, _zorn_terms(self._c, other._c, _TRACE_ROWS)[0])
+            return Polynomial(ring, ring.reduce(
+                _zorn_terms(self._c, other._c, _TRACE_ROWS)[0]))
         return _zorn_trace(self._c, other._c)
 
     def scale(self, s):

@@ -3,7 +3,10 @@ multivariate polynomials in variables z[i,j].
 
 Rationals are plain `fractions.Fraction` (ints are accepted wherever a
 rational is expected; they are exact rationals with denominator 1).
-Fractions are immutable, so QQ(x) returns a Fraction x itself.
+Fractions are immutable, so QQ(x) returns a Fraction x itself.  A
+polynomial over GF(p) stores its coefficients as int residues, not as
+FpElement: the term-dict kernels sum them in Z, and the ring reduces
+each finished result mod p once.
 All rings are interned, so two rings compare equal iff they are the
 same object.
 
@@ -367,7 +370,10 @@ class Polynomial:
     pairs (i, j), so monomials sort as they would by pairs.  Over QQ a
     coefficient that the ring builds is an int when it is integral and a
     Fraction otherwise; arithmetic may leave a Fraction with denominator
-    1, which equals and hashes as its int.
+    1, which equals and hashes as its int.  Over GF(p) a coefficient is
+    its int residue in 1..p-1: + - * and negation sum in Z and pass the
+    result through ring.reduce once, and a constant compares as its
+    FpElement.
     """
 
     __slots__ = ("ring", "terms")
@@ -390,18 +396,19 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Polynomial(self.ring, add_terms(self.terms, o.terms))
+        return Polynomial(self.ring, self.ring.reduce(add_terms(self.terms, o.terms)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return Polynomial(self.ring,
+                          self.ring.reduce({m: -c for m, c in self.terms.items()}))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Polynomial(self.ring, sub_terms(self.terms, o.terms))
+        return Polynomial(self.ring, self.ring.reduce(sub_terms(self.terms, o.terms)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -413,7 +420,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Polynomial(self.ring, mul_terms(self.terms, o.terms))
+        return Polynomial(self.ring, self.ring.reduce(mul_terms(self.terms, o.terms)))
 
     __rmul__ = __mul__
 
@@ -428,21 +435,35 @@ class Polynomial:
             raise ValueError("exponent must be an integer")
         if k < 0:
             return self.inverse() ** -k
-        result = self.ring.one
-        base = self
+        # over GF(p) the product of (f^(p^i))^d over the base-p digits d of
+        # k, where f^p is f with every monomial repeated p times and the
+        # same coefficients (c^p = c), so no product squares a pth power;
+        # each digit, and k itself over QQ, by binary powering
+        p = self.ring.p
+        result, frob = self.ring.one, self
         while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+            k, d = divmod(k, p) if p else (0, k)
+            base = frob
+            while d:
+                if d & 1:
+                    result = result * base
+                d >>= 1
+                if d:
+                    base = base * base
+            if k:
+                frob = Polynomial(self.ring, {tuple(sorted(m * p)): c
+                                              for m, c in frob.terms.items()})
         return result
 
     def __eq__(self, other):
         # a scalar equals a constant polynomial whose constant equals it
-        # uncoerced, so a constant hashes as its constant
+        # uncoerced, so a constant hashes as its constant; a GF(p) residue
+        # compares as its field element, which no other field's equals
         if isinstance(other, Polynomial):
             return self.ring is other.ring and self.terms == other.terms
-        return self.is_constant() and self.terms.get((), 0) == other
+        c = self.terms.get((), 0)
+        return self.is_constant() and (self.ring.base.elem(c) if self.ring.p
+                                       else c) == other
 
     def __hash__(self):
         if self.is_constant():
@@ -498,7 +519,9 @@ class Polynomial:
         unassigned (it is then retained), else the base field.  Every
         value and every coefficient is coerced into the target once.  A
         key outside var_id's range is a ValueError.  In a polynomial
-        ring the terms are summed in place into one dict.
+        ring it runs in Horner form, iteratively and reduced once at the
+        end: a monomial shares the products of its prefix with every
+        monomial that has the same prefix.
         """
         values = {var_id(*v): a for v, a in assignment.items()}
         rings = {a.ring for a in values.values() if isinstance(a, Polynomial)}
@@ -511,19 +534,37 @@ class Polynomial:
         if not isinstance(target, PolynomialRing):
             return evaluate_terms(self.terms, target,
                                   {v: target(a) for v, a in values.items()})
+        if self.ring.p and target is not self.ring and self.terms:
+            # a residue is a bare int, so coerce a field element instead:
+            # GF(p) coefficients into QQ or GF(q) are refused, as before
+            target.base(self.ring.base.one)
         values = {v: target(a).terms for v, a in values.items()}
-        one = target.coefficient(1)
-        values.update((v, {(v,): one}) for v in retained)
-        acc = {}
+        values.update((v, {(v,): 1}) for v in retained)
+        # Horner form: the partial sum of a monomial m, its own coefficient
+        # plus what the longer monomials add, times the value of its last
+        # run v^e, is added into the partial sum of its prefix m[:-e];
+        # partial[k] holds the prefixes of length k, longest first
+        top = max(map(len, self.terms), default=0)
+        partial = [{} for _ in range(top + 1)]
         for m, c in self.terms.items():
             c = target.coefficient(c)
-            if not c:  # a coefficient reduced into a smaller field
-                continue
-            val = {(): c}
-            for v in m:
-                val = mul_terms(val, values[v])
-            add_terms_into(acc, val)
-        return Polynomial(target, acc)
+            if c:  # else a coefficient reduced into a smaller field
+                partial[len(m)][m] = {(): c}
+        powers = {}
+        for k in range(top, 0, -1):
+            for m, s in partial[k].items():
+                v = m[-1]
+                e = k - m.index(v)
+                x = powers.get((v, e))
+                if x is None:
+                    x = powers[v, e] = (values[v] if e == 1 else
+                                        (Polynomial(target, values[v]) ** e).terms)
+                up = partial[k - e]
+                acc = up.get(m[:-e])
+                if acc is None:
+                    acc = up[m[:-e]] = {}
+                mul_terms_into(acc, s, x)
+        return Polynomial(target, target.reduce(partial[0].get((), {})))
 
     def __repr__(self):
         if not self.terms:
@@ -545,7 +586,8 @@ class Polynomial:
 
 
 class PolynomialRing:
-    """Polynomials over GF(p) or the rationals in the variables z[i,j]."""
+    """Polynomials over GF(p) or the rationals in the variables z[i,j].
+    `p` is the modulus of GF(p), 0 over QQ."""
 
     _interned = {}
 
@@ -555,24 +597,34 @@ class PolynomialRing:
         if inst is None:
             inst = object.__new__(cls)
             inst.base = base
-            inst.char = base.char
+            inst.char = inst.p = base.char
             inst.is_field = False
             cls._interned[key] = inst
         return inst
 
     def var(self, i, j):
         """z[i,j]; ValueError unless i >= 1 and 1 <= j <= 8."""
-        return Polynomial(self, {(var_id(i, j),): self.coefficient(1)})
+        return Polynomial(self, {(var_id(i, j),): 1})
 
     def coefficient(self, x):
-        """x coerced into the base field as a term stores it: over QQ an
-        integral value is an int, any other a Fraction."""
-        if self.base is not QQ:
-            return self.base(x)
+        """x coerced into the base field as a term stores it: over GF(p)
+        the int residue in 0..p-1, over QQ an int when integral and a
+        Fraction otherwise."""
+        if self.p:
+            return x % self.p if type(x) is int else self.base(x).r
         if type(x) is int:
             return x
         c = QQ(x)
         return c.numerator if c.denominator == 1 else c
+
+    def reduce(self, terms):
+        """A finished term dict with its coefficients as stored: over GF(p)
+        a new dict of the residues mod p with the zeros dropped, over QQ
+        the dict itself."""
+        p = self.p
+        if not p:
+            return terms
+        return {m: r for m, c in terms.items() if (r := c % p)}
 
     def __call__(self, x):
         """x as a polynomial: an int, a Fraction or a base-field element
@@ -590,7 +642,7 @@ class PolynomialRing:
 
     @property
     def one(self):
-        return Polynomial(self, {(): self.coefficient(1)})
+        return Polynomial(self, {(): 1})
 
     def __repr__(self):
         return "%r[z]" % (self.base,)

@@ -141,7 +141,8 @@ def decomposability_check(target, generators):
     target).  For the decomposability question pass only generators of
     strictly lower degree, so every candidate is a product of at least
     two of them.
-    The linear algebra runs over the base field of the target's ring.
+    The linear algebra runs over the base field of the target's ring,
+    on the coefficients coerced into it (a GF(p) term stores an int).
     The search tries every multiset of at most d generators, d the
     target's degree, so its cost grows as C(g + d, d) for g generators.
     Returns (expressible, certificate) where the certificate maps a
@@ -185,8 +186,8 @@ def decomposability_check(target, generators):
     rows = [[zero] * len(products) for _ in monomials]
     for c, (_lbl, p) in enumerate(products):
         for m, coeff in p.terms.items():
-            rows[mindex[m]][c] = coeff
-    rhs = [target.terms.get(m, zero) for m in monomials]
+            rows[mindex[m]][c] = field(coeff)
+    rhs = [field(target.terms.get(m, 0)) for m in monomials]
     sol = linalg.solve(rows, rhs, field)
     if sol is None:
         return (False, None)

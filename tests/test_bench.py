@@ -70,3 +70,17 @@ def test_tracer_installs_counts_and_uninstalls():
     # counted where the per-layer metrics look and never as a
     # Polynomial product
     assert "scalars.Polynomial.mul" not in tracer.stats
+    # over GF(5)[z] the coefficients are int residues, so the fused
+    # product runs no FpElement arithmetic
+    ring = scalars.PolynomialRing(scalars.GF(5))
+    z1, z2 = (generic_octonion(ring, i) for i in (1, 2))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        z1 * z2
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["octonion.mul.poly"][0] == 1
+    assert "scalars.FpElement.mul" not in tracer.stats
+    assert "scalars.FpElement.add" not in tracer.stats

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from splitoct import group as gp
+from splitoct import octonion as oc
 from splitoct.invariants import psi
 from splitoct.scalars import (GF, QQ, FpElement, Polynomial, PolynomialRing,
                               PrimeField, add_terms, coefficients_in_z_half,
@@ -167,8 +169,10 @@ def test_ring_stores_integral_rationals_as_ints():
     assert ring.coefficient(Fraction(-4, 2)) == -2
     assert type(ring.coefficient(Fraction(-4, 2))) is int
     assert ring.var(2, 5).terms == {(var_id(2, 5),): 1}
-    # over GF(p) a coefficient stays a field element
-    assert type(PolynomialRing(GF(5)).one.terms[()]) is FpElement
+    # over GF(p) a coefficient is its int residue in 1..p-1
+    r5 = PolynomialRing(GF(5))
+    assert [(type(c), c) for x in (r5.one, r5(-2)) for c in x.terms.values()] == \
+        [(int, 1), (int, 3)]
 
 
 def _fast_vs_slow_poly(ring, rng):
@@ -203,10 +207,15 @@ def _chained_substitute(f, assignment, target):
 
 def _assert_exact(x, base):
     """No float anywhere; over QQ every coefficient is an int or a
-    Fraction, over GF(p) a field element."""
-    coeffs = x.terms.values() if isinstance(x, Polynomial) else (x,)
-    kinds = (int, Fraction) if base is QQ else (FpElement,)
-    assert all(type(c) in kinds for c in coeffs), x
+    Fraction; over GF(p) a polynomial's coefficients are int residues in
+    1..p-1 and a scalar is an element of that field."""
+    if base is QQ:
+        coeffs = x.terms.values() if isinstance(x, Polynomial) else (x,)
+        assert all(type(c) in (int, Fraction) for c in coeffs), x
+    elif isinstance(x, Polynomial):
+        assert all(type(c) is int and 0 < c < base.p for c in x.terms.values()), x
+    else:
+        assert type(x) is FpElement and x.field is base, x
 
 
 def _assert_same(x, y, base):
@@ -248,6 +257,121 @@ def test_int_coefficients_match_the_fraction_path(base):
             h, h2 = f.substitute(a), f2.substitute(a2)
             _assert_same(h, h2, base)
             _assert_same(h, _chained_substitute(f, a, target), base)
+
+
+class _FpRef:
+    """A GF(p) polynomial as term dicts held it before residues: nonzero
+    FpElement coefficients, each operation by FpElement arithmetic."""
+
+    def __init__(self, field, terms):
+        self.field = field
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, f):
+        return cls(f.ring.base, {m: f.ring.base(c) for m, c in f.terms.items()})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, self.field.zero) + c
+        return _FpRef(self.field, terms)
+
+    def __neg__(self):
+        return _FpRef(self.field, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                terms[m] = terms.get(m, self.field.zero) + c1 * c2
+        return _FpRef(self.field, terms)
+
+    def __pow__(self, k):
+        out = _FpRef(self.field, {(): self.field.one})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def substitute(self, values):
+        """values maps a variable id to an _FpRef; the others are kept."""
+        acc = _FpRef(self.field, {})
+        for m, c in self.terms.items():
+            val = _FpRef(self.field, {(): c})
+            for v in m:
+                val = val * values.get(v, _FpRef(self.field, {(v,): self.field.one}))
+            acc = acc + val
+        return acc
+
+
+def _assert_matches_ref(r, ref):
+    """r, a Polynomial, stores int residues in 1..p-1 that are ref's
+    FpElement coefficients."""
+    p = ref.field.p
+    assert all(type(c) is int and 0 < c < p for c in r.terms.values()), r
+    assert {m: ref.field(c) for m, c in r.terms.items()} == ref.terms
+
+
+def _sparse_poly(ring, rng):
+    """Up to five terms of degree at most 3 in z[1..2, 1..8]; coefficients
+    from every residue class, also negative and above p."""
+    p = ring.base.p
+    f = ring.zero
+    for _ in range(rng.randint(0, 5)):
+        term = ring(rng.randrange(-2 * p, 2 * p))
+        for _ in range(rng.randint(0, 3)):
+            term = term * ring.var(rng.randint(1, 2), rng.randint(1, 8))
+        f = f + term
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 5, 10 ** 14 + 31])
+def test_residues_match_fp_element_coefficients(p):
+    """Every polynomial operation over GF(p)[z] gives the coefficients of
+    the same operation on FpElement coefficients, as int residues in
+    1..p-1: + - * neg ** psi substitute coordinate_action, and the fused
+    octonion product and trace_mul."""
+    field, ring = GF(p), PolynomialRing(GF(p))
+    rng = random.Random(p)
+    for _ in range(30):
+        f, g = _sparse_poly(ring, rng), _sparse_poly(ring, rng)
+        rf, rg = _FpRef.of(f), _FpRef.of(g)
+        _assert_matches_ref(f, rf)
+        # psi keeps the monomials free of z[i,j] for j in {3, 4, 6, 7}
+        kept = _FpRef(field, {m: c for m, c in rf.terms.items()
+                              if all(v % 8 + 1 not in (3, 4, 6, 7) for v in m)})
+        for r, ref in ((f + g, rf + rg), (f - g, rf - rg), (f - f, rf - rf),
+                       (f * g, rf * rg), (-f, -rf), (f ** 3, rf ** 3),
+                       (psi(f), kept)):
+            _assert_matches_ref(r, ref)
+        keys = rng.sample([(i, j) for i in (1, 2) for j in range(1, 9)], 10)
+        polys = {k: _sparse_poly(ring, rng) for k in keys}
+        _assert_matches_ref(f.substitute(polys), rf.substitute(
+            {var_id(*k): _FpRef.of(a) for k, a in polys.items()}))
+        point = {(i, j): field(rng.randrange(p)) for i in (1, 2) for j in range(1, 9)}
+        val = f.substitute(point)
+        assert type(val) is FpElement and val == rf.substitute(
+            {var_id(*k): _FpRef(field, {(): c}) for k, c in point.items()}
+        ).terms.get((), field.zero)
+        # a constant's coordinate action is a scalar, so f gets a variable
+        f, rf = f + ring.var(2, 8), rf + _FpRef(field, {(var_id(2, 8),): field.one})
+        g_elt = gp.delta1(field, [field(rng.randrange(p)) for _ in range(3)]).compose(
+            gp.hbar(field))
+        rows = g_elt.inverse().rows
+        _assert_matches_ref(gp.coordinate_action(g_elt, f), rf.substitute(
+            {var_id(i, j): _FpRef(field, {(var_id(i, k),): c
+                                          for k, c in enumerate(rows[j - 1], 1)})
+             for i in (1, 2) for j in range(1, 9)}))
+        a, b = (oc.Octonion(ring, tuple(_sparse_poly(ring, rng) for _ in range(8)))
+                for _ in range(2))
+        ra, rb = ([_FpRef.of(x) for x in o.coords()] for o in (a, b))
+        for r, ref in zip((a * b).coords(), oc._zorn(ra, rb)):
+            _assert_matches_ref(r, ref)
+        _assert_matches_ref(a.trace_mul(b), oc._zorn_trace(ra, rb))
 
 
 def test_nonprime_modulus_rejected():
@@ -407,6 +531,58 @@ def test_substitute_is_a_homomorphism():
             f.substitute(assignment) + g.substitute(assignment)
 
 
+@pytest.mark.parametrize("base", [QQ, GF(5)])
+def test_horner_substitute_matches_the_chained_reference(base):
+    """Monomials with repeated variables (exponents up to 3) and a
+    constant term, into polynomial values with retained variables and a
+    scalar among them, and into scalar values, give the chained-+
+    reference in value, hash and repr."""
+    ring = PolynomialRing(base)
+    rng = random.Random(29)
+    keys = [(i, j) for i in (1, 2) for j in range(1, 5)]
+    for _ in range(25):
+        f = ring(rng.randint(-3, 3))
+        for _ in range(rng.randint(1, 5)):
+            term = ring(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+            for _ in range(rng.randint(1, 3)):
+                term = term * ring.var(*rng.choice(keys)) ** rng.randint(1, 3)
+            f = f + term
+        polys = {k: _fast_vs_slow_poly(ring, rng)[0] for k in rng.sample(keys, 5)}
+        polys[next(iter(polys))] = base(rng.randint(-4, 4))
+        scalars = {k: base(Fraction(rng.randint(-4, 4), rng.choice((1, 3))))
+                   for k in keys}
+        for a, target in ((polys, ring), (scalars, base)):
+            _assert_same(f.substitute(a), _chained_substitute(f, a, target), base)
+
+
+def test_substitute_runs_a_monomial_above_the_recursion_limit():
+    """z[1,1]^3000 with z[1,1] -> z[1,2] + 1 over GF(5) is (z[1,2] + 1)^3000,
+    also as the binomial sum with each C(3000, j) reduced mod 5."""
+    ring = PolynomialRing(GF(5))
+    assert sys.getrecursionlimit() < 3000
+    x, y = ring.var(1, 1), ring.var(1, 2)
+    h = (x ** 3000).substitute({(1, 1): y + 1})
+    binomial, c = {}, 1  # c is C(3000, j)
+    for j in range(3001):
+        if c % 5:
+            binomial[(var_id(1, 2),) * j] = c % 5
+        c = c * (3000 - j) // (j + 1)
+    assert h == (y + 1) ** 3000 == Polynomial(ring, binomial)
+
+
+@pytest.mark.parametrize("base", [QQ, GF(2), GF(3), GF(5)])
+def test_power_is_the_repeated_product(base):
+    """f ** k, by base-p digits and pth powers over GF(p), is f * ... * f."""
+    ring = PolynomialRing(base)
+    rng = random.Random(31)
+    for _ in range(4):
+        f = _fast_vs_slow_poly(ring, rng)[0]
+        prod = ring.one
+        for k in range(13):
+            assert f ** k == prod, (f, k)
+            prod = prod * f
+
+
 def test_substitute_single_variable():
     ring = PolynomialRing(QQ)
     f = ring.var(1, 3)
@@ -434,6 +610,19 @@ def test_substitute_mixed_rings_error():
     f = ring.var(1, 1) + ring.var(1, 2)
     with pytest.raises(ValueError):
         f.substitute({(1, 1): other.var(1, 1), (1, 2): ring.var(1, 2)})
+
+
+def test_substitute_refuses_values_over_another_field():
+    """A GF(5) residue is a bare int, yet it maps into QQ[z] or GF(7)[z]
+    no more than an FpElement does; QQ coefficients still reduce mod 5."""
+    f5, q, f7 = (PolynomialRing(b) for b in (GF(5), QQ, GF(7)))
+    f = f5.var(1, 1) * f5(3)
+    for ring, exc in ((q, TypeError), (f7, ValueError)):
+        with pytest.raises(exc):
+            f.substitute({(1, 1): ring.var(1, 2)})
+        assert f5.zero.substitute({(1, 1): ring.var(1, 2)}) == ring.zero
+    g = q.var(1, 1) * q(Fraction(7, 2))
+    assert g.substitute({(1, 1): f5.var(1, 2)}) == f5.var(1, 2) * f5(1)
 
 
 def test_substitute_commutes_with_arithmetic_mod_p():
@@ -472,6 +661,16 @@ def test_equal_scalars_hash_equal():
     assert PolynomialRing(QQ).zero == 0 and hash(PolynomialRing(QQ).zero) == hash(0)
     # a non-constant polynomial never equals a scalar
     assert PolynomialRing(QQ).var(1, 1) != 1
+
+
+def test_gf_p_constants_compare_as_their_field_elements():
+    """A stored residue is a bare int, yet a constant over GF(5) equals
+    only what its FpElement equals: not the same residue in GF(7), and
+    not a Fraction."""
+    three = PolynomialRing(GF(5))(3)
+    assert three == GF(5)(3) and three == 3 and three == 8 - 5
+    assert three != GF(7)(3) and three != Fraction(3) and three != 8
+    assert PolynomialRing(GF(5)).zero == GF(5)(0) != GF(7)(0)
 
 
 @pytest.mark.parametrize("base", [QQ, GF(5)])
