@@ -175,18 +175,23 @@ def coordinate_action(g, f):
 
     Substitutes each variable z[i,j] by the j-th z-coordinate of the
     octonion obtained by applying g^{-1} to a generic octonion in slot i.
+    Returns a polynomial of f's ring, a constant f itself.
     """
     ring = f.ring
     if g.ring is not ring.base:
         raise ValueError("group element ring %r does not match the base "
                          "ring of %r" % (g.ring, ring))
+    variables = f.variables()
+    if not variables:
+        # substitute would land a constant in the base field
+        return f
     zero = g.ring.zero
     # each row of g^{-1} as the (k, coefficient) pairs of its nonzero entries
     rows = [[(k, ring.coefficient(c)) for k, c in enumerate(row, 1) if c != zero]
             for row in g.inverse().rows]
     assignment = {(i, j): Polynomial(ring, {(var_id(i, k),): c
                                             for k, c in rows[j - 1]})
-                  for (i, j) in f.variables()}
+                  for (i, j) in variables}
     return f.substitute(assignment)
 
 

@@ -5,9 +5,14 @@ A descriptor (words.Descriptor) is either n(i) or tr(i1,...,ik) with
 strictly increasing indices; the trace is always taken of the
 left-normed product.  words.eval_descriptor, re-exported here, evaluates
 one descriptor on ring elements; evaluate_family evaluates a whole
-family on integer rows that the private _lift makes once per tuple.  It
-is checked against eval_descriptor, which shares none of the lift, its
-scales or its wrap, only the formulas octonion._zorn and _zorn_trace.
+family on integer rows that the private _lift makes once per tuple.
+Over GF(p) with p - 1 < 2^30 the rows are one (n, 8) int64 array and
+each degree level is one gathered product of all its descriptors,
+octonion._ZORN_TABLE as index arrays; over any other ring a scalar loop
+runs octonion._zorn and _zorn_trace on one descriptor at a time.  Both
+are checked against eval_descriptor, which shares none of the lift, its
+scales or its wrap, only the Zorn formulas, and the array path also
+against the scalar loop.
 descriptor_polynomial runs eval_descriptor on generic octonions over a
 polynomial ring, where Octonion products and traces sum the same
 formula, as the table octonion._ZORN_TABLE, straight into term dicts.
@@ -19,6 +24,8 @@ from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, lcm
+
+import numpy as np
 
 from . import octonion as oc
 from . import words as wd
@@ -59,14 +66,16 @@ def family_names(family, n, d):
 
 
 # the families built so far, least recently used first: (family, n,
-# min(d, max(n, 2))) -> (descriptors, names), both tuples.  Together they
-# hold at most MAX_FAMILY_SIZE descriptors; a new family evicts the
-# oldest ones until it fits.
+# min(d, max(n, 2))) -> (descriptors, names, steps), descriptors and
+# names tuples and steps those of _steps.  Together they hold at most
+# MAX_FAMILY_SIZE descriptors; a new family evicts the oldest ones until
+# it fits.
 _FAMILIES = OrderedDict()
 
 
 def _family(family, n, d):
-    """The cached (descriptors, names) of the family; see enumerate_set."""
+    """The cached (descriptors, names, steps) of the family; see
+    enumerate_set and _steps."""
     if family not in ("S", "S0"):
         raise ValueError("family must be 'S' or 'S0'")
     if n < 1 or d < 1:
@@ -78,7 +87,7 @@ def _family(family, n, d):
         _FAMILIES.move_to_end(key)
         return entry
     descs = _build_family(family, n, d)
-    entry = descs, tuple(map(Descriptor.name, descs))
+    entry = descs, tuple(map(Descriptor.name, descs)), _steps(n, min(d, n))
     _FAMILIES[key] = entry
     held = sum(len(e[0]) for e in _FAMILIES.values())
     while held > MAX_FAMILY_SIZE:
@@ -110,30 +119,58 @@ def _build_family(family, n, d):
     return tuple(out)
 
 
+def _steps(n, top):
+    """For each length k = 2..top, the index arrays (pre, last), each of
+    length C(n, k): the j-th k-subset of range(n) in the order of
+    combinations is the pre[j]-th (k-1)-subset followed by last[j].
+
+    Each (k-1)-subset, in order, is followed by each member after its
+    own last one, so each level's arrays come from the previous
+    level's last members in a few array operations."""
+    steps = []
+    ends = np.arange(n)
+    for _k in range(2, top + 1):
+        counts = n - 1 - ends
+        pre = np.repeat(np.arange(len(ends)), counts)
+        starts = np.cumsum(counts) - counts
+        ends = ends[pre] + 1 + np.arange(len(pre)) - starts[pre]
+        steps.append((pre, ends))
+    return tuple(steps)
+
+
 def evaluate_family(family, tup, d):
     """Yield (descriptor, value) for the family on the tuple, lazily and
     in the order of enumerate_set.
 
-    The tuple is lifted once into rows (_lift), and every product runs
-    octonion._zorn on rows: the row of tr(i1,...,ik) is the stored row of
-    (i1,...,i(k-1)) times one more member, and only the rows of the
-    previous length are kept while those of the next length are built.
-    The last length, min(d, n), needs no row, only its trace:
-    octonion._zorn_trace.  A value becomes a ring element when it is
+    The tuple is lifted once into integer rows (_lift).  The left-normed
+    product of tr(i1,...,ik) is the stored row of (i1,...,i(k-1)) times
+    one more member, and only the rows of the previous length are kept
+    while those of the next length are built.  The last length,
+    min(d, n), needs no row, only its trace.  Over GF(p) with
+    p - 1 < 2^30 each degree level is computed at once, at its first
+    descriptor (_lane_values); over any other ring one descriptor at a
+    time (_family_values).  A value becomes a ring element when it is
     yielded, not before.  eval_descriptor, on ring elements, is the
-    reference this is checked against.
+    reference both are checked against.
 
     Raises ValueError at the call, before any work, for an empty tuple,
     members over different rings, or a family enumerate_set refuses.
     """
     ring = oc.ring_of(tup)
-    descs = _family(family, len(tup), d)[0]
-    return _family_values(descs, ring, tup, min(d, len(tup)))
+    descs, _names, steps = _family(family, len(tup), d)
+    rows = _lift(ring, tup)
+    if type(rows) is np.ndarray:
+        return _lane_values(descs, steps, ring, rows)
+    return _family_values(descs, rows, min(d, len(tup)))
 
 
-def _family_values(descs, ring, tup, top):
+def _family_values(descs, lifted, top):
+    """evaluate_family one descriptor at a time: octonion._zorn and
+    _zorn_trace on the rows of _scalar_lift, over any ring.  Over GF(p)
+    with p - 1 < 2^30 it is the reference _lane_values is tested
+    against."""
     zorn, zorn_trace = oc._zorn, oc._zorn_trace
-    rows, scales, p, wrap = _lift(ring, tup)
+    rows, scales, p, wrap = lifted
     prev = {(i,): (r, s) for i, (r, s) in enumerate(zip(rows, scales), 1)}
     cur = {}
     level = 2
@@ -161,9 +198,84 @@ def _family_values(descs, ring, tup, top):
         yield desc, wrap(c[0] + c[7], s)
 
 
+def _gather(table):
+    """A table of signed index pairs, such as octonion._ZORN_TABLE, as
+    index arrays (i, j) of shape (pairs, rows): row r of the table is the
+    sum over the pairs of a[i[:, r]] * b[j[:, r]], where b is a row
+    followed by its negative, so a pair of sign -1 reads column j + 8."""
+    return (np.array([[i for i, _j, _s in row] for row in table]).T,
+            np.array([[j if s > 0 else j + 8 for _i, j, s in row]
+                      for row in table]).T)
+
+
+_PRODUCT = _gather(oc._ZORN_TABLE)
+_TRACE = _gather(oc._TRACE_ROWS)
+
+
+def _lane_product(a, pre, b, last, table, p):
+    """The rows of table, a _gather pair, on the pairs of rows (a[pre[r]],
+    b[last[r]]) for every r at once, mod p: an array (len(pre), rows).
+
+    a holds residue rows (m, 8) and b member rows followed by their
+    negatives (n, 16).  A sum has at most 8 products of residues, so it
+    stays below 8 (p - 1)^2 < 2^63 in absolute value and is reduced
+    once."""
+    i, j = table
+    x = a.take(pre, 0)[:, i]
+    x *= b.take(last, 0)[:, j]
+    return x.sum(1) % p
+
+
+def _lane_values(descs, steps, ring, rows):
+    """evaluate_family over GF(p) with p - 1 < 2^30, on the (n, 8) int64
+    residue array of _lift, one degree level at a time.
+
+    A level is computed at its first descriptor, so a consumer that stops
+    early computes no later level: the norms and the traces of length 1
+    on the columns of rows, the rows of length k = 2..min(d, n) - 1 as
+    one _lane_product of the rows of length k - 1 and the members by the
+    index arrays of _steps, and the top length only as traces.  Each value
+    becomes a ring element straight from the level's list of residues."""
+    p, elem = ring.p, ring.elem
+    cols = rows.T
+    signed = np.hstack((rows, -rows))
+    cur = rows
+    pos = 0
+    while pos < len(descs):
+        kind, idx = descs[pos]
+        k = len(idx)
+        if kind == "n":
+            values = (cols[0] * cols[7] - oc.dot3(cols[1:4], cols[4:7])) % p
+        elif k == 1:
+            values = (cols[0] + cols[7]) % p
+        else:
+            pre, last = steps[k - 2]
+            if k <= len(steps):
+                cur = _lane_product(cur, pre, signed, last, _PRODUCT, p)
+                values = (cur[:, 0] + cur[:, 7]) % p
+            else:
+                values = _lane_product(cur, pre, signed, last, _TRACE, p)[:, 0]
+        stop = pos + len(values)
+        yield from zip(descs[pos:stop], map(elem, values.tolist()))
+        pos = stop
+
+
 def _lift(ring, octs):
-    """The rows octonion._zorn runs on for octonions over ring:
-    (rows, scales, p, wrap).
+    """The rows evaluate_family runs on, for octonions over ring.
+
+    Over GF(p) with 8 (p - 1)^2 < 2^63, that is p - 1 < 2^30, the
+    residues as one (n, 8) int64 array, on which no sum of _lane_product
+    overflows; over any other ring _scalar_lift.
+    """
+    if type(ring) is PrimeField and 8 * (ring.p - 1) ** 2 < 2 ** 63:
+        return np.array([x.r for a in octs for x in a._c],
+                        dtype=np.int64).reshape(-1, 8)
+    return _scalar_lift(ring, octs)
+
+
+def _scalar_lift(ring, octs):
+    """The rows octonion._zorn runs on in _family_values: (rows, scales,
+    p, wrap).
 
     Over GF(p) a row holds the residues, p is the modulus to reduce a row
     by, and wrap(v, s) is ring.elem(v % p).  Over QQ a row holds the

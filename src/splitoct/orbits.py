@@ -76,7 +76,7 @@ class SeparationReport:
 def separate(a_tup, b_tup, family="S", d=8):
     """Evaluate the degree-filtered family on both tuples in lockstep; the
     first descriptor with differing values becomes the witness, and no
-    later descriptor is evaluated."""
+    later degree level is computed."""
     oc.ring_of(a_tup, b_tup)
     for (desc, va), (_desc, vb) in zip(evaluate_family(family, a_tup, d),
                                        evaluate_family(family, b_tup, d)):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitoct import cli
+from splitoct import invariants as inv
 from splitoct import octonion as oc
 from splitoct import suite
 from splitoct import symbolic as sy
@@ -341,7 +342,8 @@ def test_eval_prints_the_largest_family_at_degree_8(tmp_path, capsys):
     assert lines[-1].startswith("tr(10,11,12,13,14,15,16,17) = ")
 
 
-def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):
+def _count_products(monkeypatch):
+    """Count the calls of Octonion.__mul__, _zorn and _zorn_trace."""
     calls = {"mul": 0, "zorn": 0, "zorn_trace": 0}
 
     def counting(key, fn):
@@ -353,13 +355,34 @@ def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(oc.Octonion, "__mul__", counting("mul", oc.Octonion.__mul__))
     monkeypatch.setattr(oc, "_zorn", counting("zorn", oc._zorn))
     monkeypatch.setattr(oc, "_zorn_trace", counting("zorn_trace", oc._zorn_trace))
-    path = write(tmp_path, "t.oct", _tuple_text(5, 12))
+    return calls
+
+
+def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):
+    calls = _count_products(monkeypatch)
+    # p - 1 >= 2^30: the scalar row loop
+    path = write(tmp_path, "t.oct", _tuple_text(10 ** 14 + 31, 12))
     assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3808
     # the family runs on lifted rows, never through Octonion.__mul__: one
     # full product per trace of length 2..7 in 12 letters, and only the
     # trace for each of the 495 of length 8
     assert calls == {"mul": 0, "zorn": 3289, "zorn_trace": 495}
+
+
+def test_eval_over_a_small_field_forms_no_scalar_product(tmp_path, capsys, monkeypatch):
+    # p - 1 < 2^30: every level is one array product, and the table is
+    # the scalar row loop's, byte for byte
+    text = _tuple_text(5, 12)
+    ring, tup = cli.parse_tuple_file(text)
+    descs = inv.enumerate_set("S", 12, 8)
+    want = "".join("%s = %s\n" % (desc.name(), value) for desc, value in
+                   inv._family_values(descs, inv._scalar_lift(ring, tup), 8))
+    calls = _count_products(monkeypatch)
+    path = write(tmp_path, "t.oct", text)
+    assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
+    assert capsys.readouterr().out == want
+    assert calls == {"mul": 0, "zorn": 0, "zorn_trace": 0}
 
 
 def test_separate_mismatched_fields(tmp_path, capsys):

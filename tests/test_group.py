@@ -233,6 +233,16 @@ def test_coordinate_action_fixes_invariants():
         assert gp.coordinate_action(g, f) == f
 
 
+def test_coordinate_action_of_a_constant_is_a_polynomial():
+    for field in (GF(5), QQ):
+        ring = PolynomialRing(field)
+        for g in (gp.hbar(field), gp.delta1(field, (field(1), field(0), field(2)))):
+            for f in (ring(3), ring.zero, ring.one):
+                h = gp.coordinate_action(g, f)
+                assert type(h) is type(f) and h.ring is ring
+                assert h == f and h.terms == f.terms
+
+
 def test_all_gf2_generator_parameters_exhaustively():
     field = GF(2)
     gens = gp._generator_elements(field)

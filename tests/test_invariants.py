@@ -5,6 +5,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,7 +121,9 @@ def _reference_family(family, tup, d):
             for desc in inv.enumerate_set(family, len(tup), d)]
 
 
-_RINGS = (QQ, GF(2), GF(5), GF(10 ** 14 + 31), GF(2 ** 61 - 1), GF(10 ** 24 + 7))
+# GF(1073741789): the largest p with p - 1 < 2^30, the array path's bound
+_RINGS = (QQ, GF(2), GF(5), GF(1073741789), GF(10 ** 14 + 31), GF(2 ** 61 - 1),
+          GF(10 ** 24 + 7))
 # one distinct prime denominator per QQ member, the worst case for a
 # common denominator over the whole tuple
 _PRIMES_NEAR_1E6 = (999907, 999917, 999931, 999953, 999959, 999961, 999979,
@@ -171,6 +174,62 @@ def test_evaluate_family_to_the_top_trace():
                 _assert_family_matches(family, tup, n)
 
 
+def _scalar_family(family, tup, d):
+    """The family by the scalar row loop, over any ring."""
+    descs = inv.enumerate_set(family, len(tup), d)
+    lifted = inv._scalar_lift(oc.ring_of(tup), tup)
+    return list(inv._family_values(descs, lifted, min(d, len(tup))))
+
+
+def _assert_lanes_match(family, tup, d):
+    """The array path of a small GF(p) against eval_descriptor and the
+    scalar row loop: equal values of equal types, plain int residues."""
+    assert type(inv._lift(oc.ring_of(tup), tup)) is np.ndarray
+    got = list(inv.evaluate_family(family, tup, d))
+    for ref in (_reference_family(family, tup, d), _scalar_family(family, tup, d)):
+        assert got == ref
+        assert [type(v) for _desc, v in got] == [type(v) for _desc, v in ref]
+    assert all(type(v.r) is int for _desc, v in got)
+
+
+# GF(1073741789) is the largest prime with p - 1 < 2^30
+_LANE_PRIMES = (2, 3, 5, 1000003, 1073741789)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lanes_match_eval_descriptor_and_the_scalar_loop(data):
+    field = GF(data.draw(st.sampled_from(_LANE_PRIMES)))
+    family = data.draw(st.sampled_from(("S", "S0")))
+    n = data.draw(st.integers(1, 8))
+    d = data.draw(st.one_of(st.just(n), st.integers(1, 8)))
+    coord = st.one_of(st.integers(0, field.p - 1), st.just(field.p - 1))
+    tup = tuple(oc.from_coords(field, data.draw(st.lists(coord, min_size=8, max_size=8)))
+                for _ in range(n))
+    _assert_lanes_match(family, tup, d)
+
+
+def test_lanes_at_the_int64_bound(monkeypatch):
+    # every coordinate p - 1 gives every product of residues its largest
+    # size, (p - 1)^2, and the top traces sum 8 of them
+    field = GF(1073741789)
+    assert 8 * (field.p - 1) ** 2 < 2 ** 63
+    worst = tuple(oc.from_coords(field, [field.p - 1] * 8) for _ in range(8))
+    for family in ("S", "S0"):
+        _assert_lanes_match(family, worst, 8)
+    # the next prime takes the scalar row loop
+    big = GF(1073741827)
+    worst = tuple(oc.from_coords(big, [big.p - 1] * 8) for _ in range(8))
+    assert type(inv._lift(big, worst)) is tuple
+
+    def refused(*args):
+        raise AssertionError("the array path ran")
+
+    monkeypatch.setattr(inv, "_lane_product", refused)
+    for family in ("S", "S0"):
+        _assert_family_matches(family, worst, 8)
+
+
 def test_evaluate_family_refuses_empty_and_mixed_tuples():
     u1, v1 = oc.unit_u(GF(5), 1), oc.unit_v(GF(7), 1)
     for d in (1, 2):
@@ -209,7 +268,7 @@ def test_family_cache_holds_at_most_the_family_size_limit(monkeypatch):
     monkeypatch.setattr(inv, "_FAMILIES", OrderedDict())
 
     def held():
-        return sum(len(descs) for descs, _names in inv._FAMILIES.values())
+        return sum(len(descs) for descs, _names, _steps in inv._FAMILIES.values())
 
     rng = random.Random(5)
     f5 = GF(5)

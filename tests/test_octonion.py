@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,7 +194,8 @@ def test_scale_coerces_its_scalar():
     assert z.scale(z.trace()).coords() == tuple(z.trace() * x for x in z.coords())
 
 
-_PRODUCT_RINGS = (GF(2), GF(3), GF(5), GF(1000003), GF(10 ** 14 + 31), QQ)
+_PRODUCT_RINGS = (GF(2), GF(3), GF(5), GF(1000003), GF(1073741789),
+                  GF(10 ** 14 + 31), QQ)
 
 
 @st.composite
@@ -215,11 +217,13 @@ def _octonion_pair(draw):
 @given(_octonion_pair())
 def test_integer_products_match_the_formula_on_ring_elements(pair):
     """The residue rows over GF(p) and the scaled-numerator rows over QQ
-    that the family evaluator lifts to, multiplied by the Zorn formula
-    and wrapped back, equal the product on the ring elements."""
+    that the family evaluator's scalar loop lifts to, multiplied by the
+    Zorn formula and wrapped back, equal the product on the ring
+    elements; over GF(p) with p - 1 < 2^30 so do the product and the
+    trace of the array path on its int64 rows."""
     ring, a, b = pair
     prod = a * b
-    (ra, rb), (sa, sb), p, wrap = inv._lift(ring, (a, b))
+    (ra, rb), (sa, sb), p, wrap = inv._scalar_lift(ring, (a, b))
     c = oc._zorn(ra, rb)
     if p:
         c = [v % p for v in c]
@@ -229,6 +233,13 @@ def test_integer_products_match_the_formula_on_ring_elements(pair):
             assert type(x) is Fraction
         else:
             assert type(x) is FpElement and x.field is ring
+    if p and p - 1 < 2 ** 30:
+        rows = inv._lift(ring, (a, b))
+        signed = np.hstack((rows, -rows))
+        c = inv._lane_product(rows, [0], signed, [1], inv._PRODUCT, p)[0]
+        assert prod.coords() == tuple(map(ring.elem, c.tolist()))
+        t = inv._lane_product(rows, [0], signed, [1], inv._TRACE, p)[0, 0]
+        assert a.trace_mul(b) == ring.elem(int(t))
 
 
 @given(_octonion_pair())

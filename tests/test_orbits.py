@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from splitoct import group as gp
+from splitoct import invariants as inv
 from splitoct import linalg
 from splitoct import octonion as oc
 from splitoct import orbits as ob
@@ -103,6 +104,31 @@ def test_separate_at_a_norm_forms_no_product(monkeypatch):
     report = ob.separate(a, b, "S", 3)
     assert report.witness.name() == "n(1)" and report.values == (0, -1)
     assert calls == []
+
+
+def test_separate_at_a_norm_computes_no_level_over_a_small_field(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_zorn", "_zorn_trace"):
+        monkeypatch.setattr(oc, name, counting(getattr(oc, name)))
+    monkeypatch.setattr(oc.Octonion, "__mul__", counting(oc.Octonion.__mul__))
+    monkeypatch.setattr(inv, "_lane_product", counting(inv._lane_product))
+    f5 = GF(5)
+    # the same traces, norms 0 and -1 at n(1)
+    a = (oc.unit_u(f5, 1), oc.identity(f5), oc.unit_v(f5, 2))
+    b = (oc.unit_u(f5, 1) + oc.unit_v(f5, 1),) + a[1:]
+    report = ob.separate(a, b, "S", 3)
+    assert report.witness.name() == "n(1)" and report.values == (f5(0), f5(-1))
+    assert calls == []
+    # a pair not separated computes level 2 and the traces of level 3 on each side
+    assert not ob.separate(a, a, "S", 3)
+    assert calls == ["_lane_product"] * 4
 
 
 def test_tuple_functions_refuse_empty_and_mixed_tuples():
