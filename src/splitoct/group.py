@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from . import octonion as oc
-from .scalars import GF, Polynomial, var_id
+from .scalars import GF, Polynomial, atom_code, var_id
 
 __all__ = [
     "GroupElement", "identity_element", "from_sl3", "delta1", "delta2",
@@ -189,8 +189,8 @@ def coordinate_action(g, f):
     # each row of g^{-1} as the (k, coefficient) pairs of its nonzero entries
     rows = [[(k, ring.coefficient(c)) for k, c in enumerate(row, 1) if c != zero]
             for row in g.inverse().rows]
-    assignment = {(i, j): Polynomial(ring, {(var_id(i, k),): c
-                                            for k, c in rows[j - 1]})
+    assignment = {(i, j): Polynomial.from_coded(ring, {atom_code(var_id(i, k)): c
+                                                       for k, c in rows[j - 1]})
                   for (i, j) in variables}
     return f.substitute(assignment)
 

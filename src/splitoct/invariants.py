@@ -29,7 +29,7 @@ import numpy as np
 
 from . import octonion as oc
 from . import words as wd
-from .scalars import QQ, Polynomial, PrimeField
+from .scalars import QQ, Polynomial, PrimeField, decode
 from .words import Descriptor, eval_descriptor
 
 __all__ = [
@@ -387,8 +387,9 @@ def psi(f):
     if not isinstance(f, Polynomial):
         raise TypeError("psi expects a polynomial")
     # the variable with id v is z[v // 8 + 1, v % 8 + 1]
-    return Polynomial(f.ring, {m: c for m, c in f.terms.items()
-                               if not any(v % 8 + 1 in _PSI_KILLED for v in m)})
+    return Polynomial.from_coded(f.ring, {m: c for m, c in f._terms.items()
+                                          if not any(v % 8 + 1 in _PSI_KILLED
+                                                     for v in decode(m))})
 
 
 def psi_hat(a):

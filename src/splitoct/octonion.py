@@ -95,8 +95,8 @@ def _zorn_terms(a, b, table):
     one dict that the caller owns, and every product is added into it by
     mul_terms_into.  A negative product reads a negated copy of a[i], a
     fresh dict, so no accumulator is ever an operand."""
-    ta = [x.terms for x in a]
-    tb = [x.terms for x in b]
+    ta = [x._terms for x in a]
+    tb = [x._terms for x in b]
     out = []
     for row in table:
         acc = {}
@@ -160,7 +160,7 @@ class Octonion:
         ring = self.ring
         if type(ring) is PolynomialRing:
             return Octonion(ring, tuple(
-                Polynomial(ring, ring.reduce(t))
+                Polynomial.from_coded(ring, ring.reduce(t))
                 for t in _zorn_terms(self._c, other._c, _ZORN_TABLE)))
         return Octonion(ring, _zorn(self._c, other._c))
 
@@ -171,7 +171,7 @@ class Octonion:
         self._check(other)
         ring = self.ring
         if type(ring) is PolynomialRing:
-            return Polynomial(ring, ring.reduce(
+            return Polynomial.from_coded(ring, ring.reduce(
                 _zorn_terms(self._c, other._c, _TRACE_ROWS)[0]))
         return _zorn_trace(self._c, other._c)
 

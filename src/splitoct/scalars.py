@@ -6,7 +6,10 @@ rational is expected; they are exact rationals with denominator 1).
 Fractions are immutable, so QQ(x) returns a Fraction x itself.  A
 polynomial over GF(p) stores its coefficients as int residues, not as
 FpElement: the term-dict kernels sum them in Z, and the ring reduces
-each finished result mod p once.
+each finished result mod p once.  The term dicts of polynomials and of
+words.TraceExpr key each monomial by an int code, the product of one
+prime per atom (a variable or a trace factor), so the kernels multiply
+monomials as ints.
 All rings are interned, so two rings compare equal iff they are the
 same object.
 
@@ -16,11 +19,13 @@ inverse of a unit x is `ring.one / x`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 
 __all__ = [
     "GF", "QQ", "PrimeField", "RationalField", "PolynomialRing",
     "Polynomial", "FpElement", "coefficients_in_z_half", "var_id",
+    "atom_code", "encode", "decode",
 ]
 
 
@@ -249,8 +254,88 @@ class RationalField:
 QQ = RationalField()
 
 
+# ---------------------------------------------------------------------------
+# Coded monomials
+#
+# A monomial is an int, the product of one prime per atom to the power
+# of its exponent.  An atom is a variable id var_id(i, j) of a
+# Polynomial or a canonical factor pair ("tr", (i1,...,ik)) or ("n", (i,))
+# of a TraceExpr.  Multisets of atoms multiply as their codes do, so
+# the product of two monomials is one int product and the unit monomial
+# is 1.  The atom table gives each new atom the next prime the first
+# time it is coded; it lives as long as the process and never reuses a
+# prime, so memoized term dicts stay valid.  A code depends on the order
+# of first use, so every order that reaches output is taken from the
+# decoded atoms, never from codes.
+
+ATOM_CODES = {}  # atom -> its prime
+_PRIMES = []     # the primes handed out, ascending
+_ATOMS = []      # _ATOMS[k] is the atom coded by _PRIMES[k]
+
+
+def atom_code(atom):
+    """The prime that codes atom, handed out on first use."""
+    p = ATOM_CODES.get(atom)
+    if p is None:
+        p = _PRIMES[-1] + 1 if _PRIMES else 2
+        while not _is_prime(p):
+            p += 1
+        ATOM_CODES[atom] = p
+        _PRIMES.append(p)
+        _ATOMS.append(atom)
+    return p
+
+
+def encode(atoms):
+    """The code of the monomial whose atoms, each repeated by its
+    exponent, are the sorted tuple atoms."""
+    m = 1
+    for a, run in groupby(atoms):
+        m *= atom_code(a) ** sum(1 for _ in run)
+    return m
+
+
+@lru_cache(maxsize=1 << 16)
+def decode(m):
+    """The sorted tuple of the atoms of the monomial code m, each
+    repeated by its exponent; decode(1) is ().  The primes are tried in
+    the order they were handed out, and the exponent of each one that
+    divides m is found by repeated squaring, so z^e costs O(log e)
+    divisions.  ValueError for a code that is not a product of atoms."""
+    if type(m) is not int or m < 1:
+        raise ValueError("not a monomial code: %r" % (m,))
+    found = []
+    for p, a in zip(_PRIMES, _ATOMS):
+        if m == 1:
+            break
+        if m % p:
+            continue
+        # divide out p, p^2, p^4, ... while each divides what is left,
+        # then the same powers again from the top down
+        e, k, pk, taken = 0, 1, p, []
+        while True:
+            q, r = divmod(m, pk)
+            if r:
+                break
+            m, e = q, e + k
+            taken.append((pk, k))
+            pk, k = pk * pk, 2 * k
+        for pk, k in reversed(taken):
+            q, r = divmod(m, pk)
+            if not r:
+                m, e = q, e + k
+        found.append((a, e))
+    if m != 1:
+        raise ValueError("not a monomial code: %r" % (m,))
+    found.sort()
+    out = []
+    for a, e in found:
+        out.extend([a] * e)
+    return tuple(out)
+
+
 def add_terms_into(acc, b):
-    """Add the term dict b (monomial -> nonzero coefficient) into acc in
+    """Add the term dict b (monomial code -> nonzero coefficient) into acc in
     place; acc must be a dict its caller owns, never one shared with a
     memo or another value."""
     for m, c in b.items():
@@ -290,21 +375,21 @@ def sub_terms(a, b):
 
 
 def mul_terms_into(acc, a, b):
-    """Add the product of the term dicts a and b, whose monomials are
-    sorted tuples of factors, into acc in place, and return acc; acc is
-    owned as in add_terms_into and is neither a nor b.  Coefficients lie
-    in a field or in Z, so no product of two of them vanishes; a sum
-    that cancels is deleted.  A unit operand, the constant 1 (an int,
-    Fraction or FpElement equal to 1), is added, not multiplied.  The
-    smaller operand is the outer loop, and its constant monomial ()
-    needs no sort.  An FpElement constant is tested for 1 by its residue,
-    so no Python-level FpElement.__eq__ runs."""
-    if () in b and len(b) == 1:
-        c = b[()]
+    """Add the product of the term dicts a and b, keyed by monomial codes,
+    into acc in place, and return acc; acc is owned as in add_terms_into
+    and is neither a nor b.  The monomial of a product of two terms is the
+    product m1 * m2 of their codes.  Coefficients lie in a field or in Z,
+    so no product of two of them vanishes; a sum that cancels is deleted.
+    A unit operand, the constant 1 (an int, Fraction or FpElement equal to
+    1) at the unit monomial 1, is added, not multiplied; an FpElement
+    constant is tested for 1 by its residue, so no Python-level
+    FpElement.__eq__ runs.  The smaller operand is the outer loop."""
+    if 1 in b and len(b) == 1:
+        c = b[1]
         if (c.r if type(c) is FpElement else c) == 1:
             a, b = b, a
-    if () in a and len(a) == 1:
-        c = a[()]
+    if 1 in a and len(a) == 1:
+        c = a[1]
         if (c.r if type(c) is FpElement else c) == 1:
             add_terms_into(acc, b)
             return acc
@@ -314,7 +399,7 @@ def mul_terms_into(acc, a, b):
     items = b.items()
     for m1, c1 in a.items():
         for m2, c2 in items:
-            m = tuple(sorted(m1 + m2)) if m1 else m2
+            m = m1 * m2
             s = get(m)
             if s is None:
                 acc[m] = c1 * c2
@@ -334,12 +419,12 @@ def mul_terms(a, b):
 
 def evaluate_terms(terms, ring, values):
     """The term dict evaluated in ring by the ring's own arithmetic: each
-    coefficient is coerced by ring(c) and each monomial id f is read as
-    values[f], an element of ring."""
+    coefficient is coerced by ring(c), and each atom f of a decoded
+    monomial is read as values[f], an element of ring."""
     acc = ring.zero
     for m, c in terms.items():
         val = ring(c)
-        for f in m:
+        for f in decode(m):
             val = val * values[f]
         acc = acc + val
     return acc
@@ -356,7 +441,7 @@ def var_id(i, j):
 
 
 def _exponents(m):
-    """A monomial as its (variable id, exponent) pairs."""
+    """A decoded monomial as its (variable id, exponent) pairs."""
     return tuple((v, len(tuple(g))) for v, g in groupby(m))
 
 
@@ -367,20 +452,49 @@ class Polynomial:
     monomial is the sorted tuple of the variable ids var_id(i, j) =
     8*(i-1) + (j-1) of its variables, each repeated by its exponent:
     z[1,1]^2*z[1,2] is (0, 0, 1) and z[2,3] is (10,).  Ids sort like the
-    pairs (i, j), so monomials sort as they would by pairs.  Over QQ a
-    coefficient that the ring builds is an int when it is integral and a
-    Fraction otherwise; arithmetic may leave a Fraction with denominator
-    1, which equals and hashes as its int.  Over GF(p) a coefficient is
-    its int residue in 1..p-1: + - * and negation sum in Z and pass the
-    result through ring.reduce once, and a constant compares as its
-    FpElement.
+    pairs (i, j), so monomials sort as they would by pairs.  `terms` is a
+    decoded copy: the polynomial itself keys its terms by monomial codes,
+    the product of the prime code of each variable id to its exponent, so
+    a product of two monomials is one int product.  Polynomial(ring,
+    terms) builds a polynomial from a dict keyed as `terms` is, and
+    refuses any other key; Polynomial.from_coded takes over a coded dict
+    as it is.  Over QQ a coefficient that the ring builds is an int when
+    it is integral and a Fraction otherwise; arithmetic may leave a
+    Fraction with denominator 1, which equals and hashes as its int.
+    Over GF(p) a coefficient is its int residue in 1..p-1: + - * and
+    negation sum in Z and pass the result through ring.reduce once, and
+    a constant compares as its FpElement.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring, terms):
+        """terms: a dict from sorted tuples of variable ids (ints >= 0)
+        to coefficients as the ring stores them; ValueError for any
+        other key."""
+        coded = {}
+        for m, c in terms.items():
+            if (type(m) is not tuple
+                    or not all(type(v) is int and v >= 0 for v in m)
+                    or any(u > v for u, v in zip(m, m[1:]))):
+                raise ValueError("a monomial is a sorted tuple of variable "
+                                 "ids: %r" % (m,))
+            coded[encode(m)] = c
         self.ring = ring
-        self.terms = terms
+        self._terms = coded
+
+    @classmethod
+    def from_coded(cls, ring, coded):
+        """The polynomial whose terms are the dict coded, keyed by
+        monomial codes, which it takes over unchecked."""
+        f = object.__new__(cls)
+        f.ring = ring
+        f._terms = coded
+        return f
+
+    @property
+    def terms(self):
+        return {decode(m): c for m, c in self._terms.items()}
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -396,19 +510,21 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Polynomial(self.ring, self.ring.reduce(add_terms(self.terms, o.terms)))
+        return Polynomial.from_coded(self.ring,
+                                     self.ring.reduce(add_terms(self._terms, o._terms)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring,
-                          self.ring.reduce({m: -c for m, c in self.terms.items()}))
+        return Polynomial.from_coded(
+            self.ring, self.ring.reduce({m: -c for m, c in self._terms.items()}))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Polynomial(self.ring, self.ring.reduce(sub_terms(self.terms, o.terms)))
+        return Polynomial.from_coded(self.ring,
+                                     self.ring.reduce(sub_terms(self._terms, o._terms)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -420,7 +536,8 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Polynomial(self.ring, self.ring.reduce(mul_terms(self.terms, o.terms)))
+        return Polynomial.from_coded(self.ring,
+                                     self.ring.reduce(mul_terms(self._terms, o._terms)))
 
     __rmul__ = __mul__
 
@@ -436,9 +553,9 @@ class Polynomial:
         if k < 0:
             return self.inverse() ** -k
         # over GF(p) the product of (f^(p^i))^d over the base-p digits d of
-        # k, where f^p is f with every monomial repeated p times and the
-        # same coefficients (c^p = c), so no product squares a pth power;
-        # each digit, and k itself over QQ, by binary powering
+        # k, where f^p is f with every monomial code raised to the pth power
+        # and the same coefficients (c^p = c), so no product squares a pth
+        # power; each digit, and k itself over QQ, by binary powering
         p = self.ring.p
         result, frob = self.ring.one, self
         while k:
@@ -451,8 +568,8 @@ class Polynomial:
                 if d:
                     base = base * base
             if k:
-                frob = Polynomial(self.ring, {tuple(sorted(m * p)): c
-                                              for m, c in frob.terms.items()})
+                frob = Polynomial.from_coded(self.ring, {m ** p: c for m, c
+                                                         in frob._terms.items()})
         return result
 
     def __eq__(self, other):
@@ -460,32 +577,32 @@ class Polynomial:
         # uncoerced, so a constant hashes as its constant; a GF(p) residue
         # compares as its field element, which no other field's equals
         if isinstance(other, Polynomial):
-            return self.ring is other.ring and self.terms == other.terms
-        c = self.terms.get((), 0)
+            return self.ring is other.ring and self._terms == other._terms
+        c = self._terms.get(1, 0)
         return self.is_constant() and (self.ring.base.elem(c) if self.ring.p
                                        else c) == other
 
     def __hash__(self):
         if self.is_constant():
-            return hash(self.terms.get((), 0))
-        return hash(frozenset(self.terms.items()))
+            return hash(self._terms.get(1, 0))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def is_constant(self):
-        return all(m == () for m in self.terms)
+        return all(m == 1 for m in self._terms)
 
     def inverse(self):
         if not self.is_constant() or self.is_zero():
             raise ZeroDivisionError("only nonzero constants are units")
-        return self.ring(self.ring.base.one / self.terms[()])
+        return self.ring(self.ring.base.one / self._terms[1])
 
     def _ids(self):
-        return {v for m in self.terms for v in m}
+        return {v for m in self._terms for v in decode(m)}
 
     def variables(self):
         """The sorted pairs (i, j) of the variables that occur."""
@@ -497,9 +614,9 @@ class Polynomial:
         Raises ValueError unless the polynomial is multihomogeneous.
         """
         mdeg = None
-        for m in self.terms:
+        for m in self._terms:
             d = [0] * n
-            for v in m:
+            for v in decode(m):
                 d[v // 8] += 1
             d = tuple(d)
             if mdeg is None:
@@ -519,9 +636,9 @@ class Polynomial:
         unassigned (it is then retained), else the base field.  Every
         value and every coefficient is coerced into the target once.  A
         key outside var_id's range is a ValueError.  In a polynomial
-        ring it runs in Horner form, iteratively and reduced once at the
-        end: a monomial shares the products of its prefix with every
-        monomial that has the same prefix.
+        ring it runs in Horner form on the decoded monomials, iteratively
+        and reduced once at the end: a monomial shares the products of
+        its prefix with every monomial that has the same prefix.
         """
         values = {var_id(*v): a for v, a in assignment.items()}
         rings = {a.ring for a in values.values() if isinstance(a, Polynomial)}
@@ -532,24 +649,25 @@ class Polynomial:
         if retained and target is not self.ring:
             raise ValueError("retained variables need the original ring")
         if not isinstance(target, PolynomialRing):
-            return evaluate_terms(self.terms, target,
+            return evaluate_terms(self._terms, target,
                                   {v: target(a) for v, a in values.items()})
-        if self.ring.p and target is not self.ring and self.terms:
+        if self.ring.p and target is not self.ring and self._terms:
             # a residue is a bare int, so coerce a field element instead:
             # GF(p) coefficients into QQ or GF(q) are refused, as before
             target.base(self.ring.base.one)
-        values = {v: target(a).terms for v, a in values.items()}
-        values.update((v, {(v,): 1}) for v in retained)
+        values = {v: target(a)._terms for v, a in values.items()}
+        values.update((v, {atom_code(v): 1}) for v in retained)
         # Horner form: the partial sum of a monomial m, its own coefficient
         # plus what the longer monomials add, times the value of its last
         # run v^e, is added into the partial sum of its prefix m[:-e];
         # partial[k] holds the prefixes of length k, longest first
-        top = max(map(len, self.terms), default=0)
+        terms = self.terms
+        top = max(map(len, terms), default=0)
         partial = [{} for _ in range(top + 1)]
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             c = target.coefficient(c)
             if c:  # else a coefficient reduced into a smaller field
-                partial[len(m)][m] = {(): c}
+                partial[len(m)][m] = {1: c}
         powers = {}
         for k in range(top, 0, -1):
             for m, s in partial[k].items():
@@ -558,20 +676,22 @@ class Polynomial:
                 x = powers.get((v, e))
                 if x is None:
                     x = powers[v, e] = (values[v] if e == 1 else
-                                        (Polynomial(target, values[v]) ** e).terms)
+                                        (Polynomial.from_coded(target, values[v])
+                                         ** e)._terms)
                 up = partial[k - e]
                 acc = up.get(m[:-e])
                 if acc is None:
                     acc = up[m[:-e]] = {}
                 mul_terms_into(acc, s, x)
-        return Polynomial(target, target.reduce(partial[0].get((), {})))
+        return Polynomial.from_coded(target, target.reduce(partial[0].get((), {})))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
+        terms = self.terms
         parts = []
-        for m in self.monomials_sorted():
-            c = self.terms[m]
+        for m in sorted(terms, key=_exponents):
+            c = terms[m]
             factors = ["z[%d,%d]%s" % (v // 8 + 1, v % 8 + 1,
                                         "" if e == 1 else "^%d" % e)
                        for v, e in _exponents(m)]
@@ -604,7 +724,7 @@ class PolynomialRing:
 
     def var(self, i, j):
         """z[i,j]; ValueError unless i >= 1 and 1 <= j <= 8."""
-        return Polynomial(self, {(var_id(i, j),): 1})
+        return Polynomial.from_coded(self, {atom_code(var_id(i, j)): 1})
 
     def coefficient(self, x):
         """x coerced into the base field as a term stores it: over GF(p)
@@ -634,15 +754,15 @@ class PolynomialRing:
                 raise ValueError("polynomial from a different ring")
             return x
         c = self.coefficient(x)
-        return Polynomial(self, {(): c} if c else {})
+        return Polynomial.from_coded(self, {1: c} if c else {})
 
     @property
     def zero(self):
-        return Polynomial(self, {})
+        return Polynomial.from_coded(self, {})
 
     @property
     def one(self):
-        return Polynomial(self, {(): 1})
+        return Polynomial.from_coded(self, {1: 1})
 
     def __repr__(self):
         return "%r[z]" % (self.base,)
@@ -650,7 +770,7 @@ class PolynomialRing:
 
 def coefficients_in_z_half(f):
     """True iff every coefficient of f has a power-of-two denominator."""
-    for c in f.terms.values():
+    for c in f._terms.values():
         den = Fraction(c).denominator
         if den & (den - 1):
             return False

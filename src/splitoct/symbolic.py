@@ -179,15 +179,17 @@ def decomposability_check(target, generators):
         products.append((tuple(gens[k][0] for k in combo), p))
     if not products:
         return (False, None)
-    monomials = sorted(set().union(*[set(p.terms) for _lbl, p in products],
-                                   set(target.terms)))
+    # rows by decoded monomials, so no order comes from monomial codes
+    columns = [p.terms for _lbl, p in products]
+    tterms = target.terms
+    monomials = sorted(set(tterms).union(*columns))
     mindex = {m: r for r, m in enumerate(monomials)}
     zero = field.zero
     rows = [[zero] * len(products) for _ in monomials]
-    for c, (_lbl, p) in enumerate(products):
-        for m, coeff in p.terms.items():
+    for c, terms in enumerate(columns):
+        for m, coeff in terms.items():
             rows[mindex[m]][c] = field(coeff)
-    rhs = [field(target.terms.get(m, 0)) for m in monomials]
+    rhs = [field(tterms.get(m, 0)) for m in monomials]
     sol = linalg.solve(rows, rhs, field)
     if sol is None:
         return (False, None)

@@ -11,12 +11,12 @@ is an identity that can be checked by evaluation over any ring.
 The canonical invariants are the Descriptor pairs ("tr", (i1,...,ik))
 and ("n", (i,)), the members of the invariant families and, read with
 det for n, of the 2x2 matrix invariants; eval_descriptor evaluates one
-on a tuple.  Inside a TraceExpr each such factor is a small int: a
-process-wide table interns every distinct canonical pair once, the first
-time it occurs, so a monomial is a sorted tuple of ints and the term
-kernels hash and sort ints.  TraceExpr.terms decodes them back into
-sorted tuples of plain pairs, each equal and hash-equal to its
-Descriptor.
+on a tuple.  Inside a TraceExpr each such factor is an atom of the
+coded monomials of scalars: the atom table gives every distinct
+canonical pair a prime the first time it occurs, so a monomial is the
+int product of its factors' primes and a product of two monomials is
+one int product.  TraceExpr.terms decodes them back into sorted tuples
+of plain pairs, each equal and hash-equal to its Descriptor.
 
 The rewriting uses three exact consequences of the quadratic relation
 and linearized alternativity:
@@ -36,8 +36,8 @@ from functools import cache
 from operator import itemgetter
 
 from .octonion import ring_of
-from .scalars import (GF, QQ, PolynomialRing, add_terms, evaluate_terms, mul_terms,
-                      mul_terms_into, sub_terms)
+from .scalars import (ATOM_CODES, GF, QQ, PolynomialRing, add_terms, atom_code, decode,
+                      evaluate_terms, mul_terms, mul_terms_into, sub_terms)
 
 __all__ = [
     "Descriptor", "eval_descriptor", "degree", "leaves", "left_normed", "evaluate",
@@ -187,31 +187,17 @@ def eval_descriptor(desc, tup):
     return evaluate(left_normed(idx[:-1]), tup).trace_mul(tup[idx[-1] - 1])
 
 
-# The factor table: _FACTORS[f] is the canonical pair, a plain tuple,
-# with id f, and _FACTOR_IDS maps the pair back to f.  It lives as long
-# as the process and holds one entry per distinct factor ever built; an
-# id is never reused, so memoized expressions stay valid.
-_FACTORS = []
-_FACTOR_IDS = {}
-
-
-def _factor_id(kind, indices):
-    """The id of the factor (kind, indices), interned on first use.  The
-    indices must be ints; a new factor is validated as a Descriptor."""
+def _factor_code(kind, indices):
+    """The prime code of the factor (kind, indices) in the atom table,
+    handed out on first use.  The indices must be ints; a new factor is
+    validated as a Descriptor and stored as its plain pair."""
     key = (kind, tuple(indices))
     if not all(type(i) is int for i in key[1]):
         raise ValueError("descriptor indices must be ints: %r" % (key[1],))
-    f = _FACTOR_IDS.get(key)
+    f = ATOM_CODES.get(key)
     if f is None:
-        key = tuple(Descriptor(kind, key[1]))
-        f = _FACTOR_IDS[key] = len(_FACTORS)
-        _FACTORS.append(key)
+        f = atom_code(tuple(Descriptor(*key)))
     return f
-
-
-def _decode(m):
-    """A monomial of factor ids as the sorted tuple of its pairs."""
-    return tuple(sorted([_FACTORS[f] for f in m]))
 
 
 def _monomial_key(m):
@@ -225,8 +211,9 @@ class TraceExpr:
     `terms` maps each monomial, a sorted tuple of factors
     ("tr", (i1,...,ik)) or ("n", (i,)) (plain tuples equal to their
     Descriptor), to its coefficient, an exact integer or Fraction.  It is
-    a decoded copy: the expression itself keys its terms by sorted
-    tuples of factor ids.  A scalar operand and a te_const constant
+    a decoded copy: the expression itself keys its terms by monomial
+    codes, the product of the prime code of each factor, as
+    scalars.decode reads them.  A scalar operand and a te_const constant
     take the coefficient rule of the polynomials over QQ,
     PolynomialRing(QQ).coefficient: an int when integral (a bool is the
     int it equals), otherwise a Fraction.
@@ -235,13 +222,13 @@ class TraceExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, coded=None):
-        """coded: a dict from sorted tuples of factor ids to nonzero
-        coefficients, which the expression takes over."""
+        """coded: a dict from monomial codes to nonzero coefficients,
+        which the expression takes over."""
         self._terms = coded or {}
 
     @property
     def terms(self):
-        return {_decode(m): c for m, c in self._terms.items()}
+        return {decode(m): c for m, c in self._terms.items()}
 
     def _coerce(self, other):
         if type(other) is TraceExpr:
@@ -312,13 +299,10 @@ class TraceExpr:
         ring = ring_of(tup)
         if cache is None:
             cache = {}
-        values = {}
-        for f in {f for m in self._terms for f in m}:
-            pair = _FACTORS[f]
+        for pair in {f for m in self._terms for f in decode(m)}:
             if pair not in cache:
                 cache[pair] = eval_descriptor(Descriptor(*pair), tup)
-            values[f] = cache[pair]
-        return evaluate_terms(self._terms, ring, values)
+        return evaluate_terms(self._terms, ring, cache)
 
     def __repr__(self):
         if not self._terms:
@@ -334,12 +318,12 @@ class TraceExpr:
 
 def _factor(kind, indices, c=1):
     """The coded term dict of c times the factor (kind, indices)."""
-    return {(_factor_id(kind, indices),): c}
+    return {_factor_code(kind, indices): c}
 
 
 def te_const(c):
     c = PolynomialRing(QQ).coefficient(c)
-    return TraceExpr({(): c} if c else {})
+    return TraceExpr({1: c} if c else {})
 
 
 def te_tr(indices):
@@ -354,7 +338,7 @@ def te_norm(i):
 # The rewriting engine
 #
 # Every value in here is a coded term dict (a TraceExpr's terms, keyed
-# by factor ids), and only normalize_trace wraps one in a TraceExpr.  A
+# by monomial codes), and only normalize_trace wraps one in a TraceExpr.  A
 # left-normed word is its index tuple, the unit is UNIT = (), and a
 # combination of such words maps each word to its coded term dict.
 # Each rule is one _sum_of_products: scalars.mul_terms_into builds it in
@@ -364,8 +348,8 @@ def te_norm(i):
 # mutated: a changed entry is a new sum, and _product passes a unit
 # factor through only for a result that is just read.
 
-_ONE = {(): 1}
-_NEG = {(): -1}
+_ONE = {1: 1}
+_NEG = {1: -1}
 
 
 def _sum_of_products(*pairs, start=()):
@@ -397,7 +381,7 @@ def canonical_trace(J):
     """tr of the left-normed word with index tuple J (tr(1) = 2 for the
     empty tuple), over sorted strictly increasing canonical monomials."""
     if not J:
-        return {(): 2}
+        return {1: 2}
     m = next((i for i in range(len(J) - 1) if J[i] >= J[i + 1]), None)
     if m is None:  # J is strictly increasing
         return _factor("tr", J)
@@ -511,5 +495,5 @@ def multilinear_sign(w):
         # convention of the degree-2 rearrangement of the swap identity;
         # the exact expansion still collects to +tr(i,j)
         return ((1 if ls[0] < ls[1] else -1), srt)
-    coeff = normalize_trace(w)._terms.get((_factor_id("tr", srt),), 0)
+    coeff = normalize_trace(w)._terms.get(_factor_code("tr", srt), 0)
     return (int(coeff), srt)

@@ -513,6 +513,45 @@ def test_stdout_is_the_same_under_every_hash_seed(tmp_path):
     assert outs[0].decode().count("\nexit 0\n") == len(argvs)
 
 
+# interns the variables z[4,8], ..., z[1,1] before anything else, so
+# their primes run against the order of their ids
+_REVERSED_ATOMS = """\
+from splitoct.scalars import _ATOMS, QQ, PolynomialRing, var_id
+ring = PolynomialRing(QQ)
+for i in (4, 3, 2, 1):
+    for j in range(8, 0, -1):
+        ring.var(i, j)
+assert _ATOMS == [var_id(i, j) for i in (4, 3, 2, 1) for j in range(8, 0, -1)]
+"""
+
+# prints polynomials of four octonions after the argvs of _SEED_SCRIPT
+_PRINTED_POLYNOMIALS = """
+from splitoct import invariants as inv
+from splitoct.scalars import QQ, PolynomialRing
+ring = PolynomialRing(QQ)
+f = inv.descriptor_polynomial(inv.Descriptor("tr", (1, 2, 4)), ring)
+print(f, inv.psi(f), f.variables(), f.multidegree(4), sep="\\n")
+print((ring.var(4, 8) - ring.var(1, 1) + 2) ** 3)
+"""
+
+
+def test_stdout_does_not_depend_on_the_order_atoms_are_coded():
+    """stdout of verify and paper-examples, and the repr of polynomials,
+    is the same when the variables get their primes in reverse order:
+    every order that reaches output comes from decoded monomials, never
+    from codes."""
+    argvs = json.dumps([["verify"], ["paper-examples"]])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = [subprocess.run([sys.executable, "-c",
+                            first + _SEED_SCRIPT + _PRINTED_POLYNOMIALS, argvs],
+                           env=env, capture_output=True, check=True).stdout
+            for first in ("", _REVERSED_ATOMS)]
+    assert outs[0] == outs[1]
+    assert outs[0].decode().count("\nexit 0\n") == 2
+    assert "z[1,1]^3" in outs[0].decode()
+
+
 def test_missing_file(capsys):
     assert cli.main(["eval", "/nonexistent/file.oct"]) == 2
     capsys.readouterr()

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from splitoct import group as gp
 from splitoct import octonion as oc
+from splitoct import scalars
 from splitoct.invariants import psi
 from splitoct.scalars import (GF, QQ, FpElement, Polynomial, PolynomialRing,
-                              PrimeField, add_terms, coefficients_in_z_half,
-                              mul_terms, mul_terms_into, var_id, _is_prime)
+                              PrimeField, add_terms, coefficients_in_z_half, decode,
+                              encode, mul_terms, mul_terms_into, var_id, _is_prime)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -398,8 +399,10 @@ def test_non_int_modulus_rejected_whichever_fields_exist(monkeypatch, fresh):
 
 
 def _old_mul_terms(a, b):
-    """The product of two term dicts as mul_terms built it before the
-    accumulating kernel: every pair of terms, zero sums dropped at the end."""
+    """The product of two term dicts keyed by sorted tuples of atoms, as
+    mul_terms built it before the accumulating kernel and the coded
+    monomials: every pair of terms, each monomial the sorted
+    concatenation, zero sums dropped at the end."""
     terms = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -408,28 +411,37 @@ def _old_mul_terms(a, b):
     return {m: c for m, c in terms.items() if c}
 
 
+def _coded(terms):
+    """A term dict keyed by sorted tuples of atoms, rekeyed by their codes."""
+    return {encode(m): c for m, c in terms.items()}
+
+
 _MONOMIALS = st.lists(st.integers(0, 3), max_size=3).map(lambda m: tuple(sorted(m)))
 _TERM_DICTS = st.dictionaries(_MONOMIALS, st.integers(-3, 3).filter(bool), max_size=5)
 # the unit {(): 1}, which the kernel adds instead of multiplying
 _OPERANDS = st.one_of(st.fixed_dictionaries({(): st.just(1)}), _TERM_DICTS)
 
 
-@given(_OPERANDS, _OPERANDS, _TERM_DICTS, st.data())
-def test_mul_terms_into_adds_the_old_product(a, b, acc0, data):
-    """mul_terms_into(acc, a, b) is acc + a*b by the old product, also
-    where terms of acc cancel exactly and where a or b is the unit, with
-    no zero coefficient left and a and b untouched."""
+@given(_OPERANDS, _OPERANDS, _TERM_DICTS, st.sampled_from([int, GF(5)]), st.data())
+def test_mul_terms_into_adds_the_old_product(a, b, acc0, coeff, data):
+    """mul_terms_into(acc, a, b) on coded dicts is acc + a*b by the old
+    product on sorted tuples, encoded, and decodes back to it: also
+    where terms of acc cancel exactly, where a or b is the unit and
+    where the coefficients are GF(5) FpElements, with no zero
+    coefficient left and a and b untouched."""
+    a, b, acc0 = ({m: coeff(c) for m, c in t.items()} for t in (a, b, acc0))
     prod = _old_mul_terms(a, b)
     if prod:
         cancel = data.draw(st.sets(st.sampled_from(sorted(prod))))
         acc0.update((m, -prod[m]) for m in cancel)
-    a0, b0 = dict(a), dict(b)
-    acc = dict(acc0)
-    assert mul_terms_into(acc, a, b) is acc
-    assert acc == add_terms(acc0, prod)
+    ca, cb = _coded(a), _coded(b)
+    acc = _coded(acc0)
+    assert mul_terms_into(acc, ca, cb) is acc
+    assert acc == _coded(add_terms(acc0, prod))
+    assert {decode(m): c for m, c in acc.items()} == add_terms(acc0, prod)
     assert all(c != 0 for c in acc.values())
-    assert (a, b) == (a0, b0)
-    assert mul_terms(a, b) == prod == mul_terms(b, a)
+    assert (ca, cb) == (_coded(a), _coded(b))
+    assert mul_terms(ca, cb) == _coded(prod) == mul_terms(cb, ca)
 
 
 @pytest.mark.parametrize("base", [QQ, GF(5)])
@@ -442,8 +454,8 @@ def test_one_times_f_is_f_in_a_new_dict(base):
          - ring.var(1, 2) * ring.var(1, 2) + ring(4))
     assert ring.one.terms == {(): 1} and len(f.terms) == 4
     for prod in (ring.one * f, f * ring.one):
-        assert prod == f and prod.terms is not f.terms
-        assert all(prod.terms[m] is c for m, c in f.terms.items())
+        assert prod == f and prod._terms is not f._terms
+        assert all(prod._terms[m] is c for m, c in f._terms.items())
 
 
 def test_gf_p_constants_are_tested_for_one_without_fp_eq(monkeypatch):
@@ -453,8 +465,8 @@ def test_gf_p_constants_are_tested_for_one_without_fp_eq(monkeypatch):
     a constant other than 1 is compared by FpElement.__eq__."""
     field = GF(10 ** 14 + 31)
     ring = PolynomialRing(field)
-    f = (ring(2) * ring.var(1, 1) + ring(3) * ring.var(2, 5)).terms
-    one, three = {(): field(1)}, {(): field(3)}
+    f = (ring(2) * ring.var(1, 1) + ring(3) * ring.var(2, 5))._terms
+    one, three = {1: field(1)}, {1: field(3)}
 
     def refuse(self, other):
         raise AssertionError("FpElement.__eq__ called")
@@ -553,6 +565,54 @@ def test_horner_substitute_matches_the_chained_reference(base):
                    for k in keys}
         for a, target in ((polys, ring), (scalars, base)):
             _assert_same(f.substitute(a), _chained_substitute(f, a, target), base)
+
+
+def test_any_variable_and_exponent_take_bounded_time():
+    """An atom gets the next prime on first use, whatever its id, and a
+    prime's exponent is decoded by repeated squaring, not one division
+    per unit of it."""
+    ring = PolynomialRing(QQ)
+    t0 = time.perf_counter()
+    f = ring.var(10 ** 9, 1) * ring.var(10 ** 9, 2)
+    assert f.variables() == [(10 ** 9, 1), (10 ** 9, 2)]
+    assert repr(f) == "z[1000000000,1]*z[1000000000,2]"
+    assert time.perf_counter() - t0 < 0.1
+    g = ring.var(1, 1) ** 100_003  # an exponent no other test decodes
+    t0 = time.perf_counter()
+    assert repr(g) == "z[1,1]^100003" and g.variables() == [(1, 1)]
+    assert time.perf_counter() - t0 < 0.1
+    assert g.terms == {(var_id(1, 1),) * 100_003: 1}
+
+
+def test_monomial_codes_are_products_of_atom_primes():
+    """The atom table hands out the primes in order, a code decodes to
+    its sorted atoms and back, and the unit monomial is 1."""
+    ring = PolynomialRing(QQ)
+    x, y = ring.var(1, 1), ring.var(3, 3)
+    primes = [scalars.ATOM_CODES[a] for a in scalars._ATOMS]
+    assert primes == scalars._PRIMES == sorted(primes)
+    assert primes == [p for p in range(primes[-1] + 1) if _is_prime(p)]
+    m = encode((0, 0, 18))
+    assert (x * x * y)._terms == {m: 1} and decode(m) == (0, 0, 18)
+    assert m == scalars.atom_code(0) ** 2 * scalars.atom_code(18)
+    assert ring.one._terms == {1: 1} and decode(1) == ()
+    top = scalars._PRIMES[-1]
+    unused = next(q for q in range(top + 1, 2 * top + 1) if _is_prime(q))
+    for code in (unused, 2 * unused, 0, -2):
+        with pytest.raises(ValueError):
+            decode(code)
+
+
+def test_polynomial_from_terms_refuses_other_keys():
+    """Polynomial(ring, terms) encodes sorted tuples of variable ids and
+    refuses any other key, so no tuple reaches the coded kernels."""
+    ring = PolynomialRing(QQ)
+    f = Polynomial(ring, {(0, 0, 18): 3, (): -1})
+    assert f == 3 * ring.var(1, 1) ** 2 * ring.var(3, 3) - 1
+    assert f.terms == {(0, 0, 18): 3, (): -1}
+    for key in ((18, 0), (True,), (-1,), (1.0,), 0, "z"):
+        with pytest.raises(ValueError):
+            Polynomial(ring, {key: 1})
 
 
 def test_substitute_runs_a_monomial_above_the_recursion_limit():

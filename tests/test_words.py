@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitoct import octonion as oc
+from splitoct import scalars
 from splitoct import words as wd
 from splitoct.scalars import GF, QQ
 
@@ -394,31 +395,40 @@ def test_normalize_trace_frozen_digest():
 
 
 @pytest.fixture
-def fresh_factor_table(monkeypatch):
-    """An empty factor table.  The memos hold term dicts coded with the
-    ids of the table in use, so they are cleared on entry and on exit."""
-    memos = (wd.canonical_trace, wd._trace_mul, wd._mul_left_normed)
+def fresh_atom_table():
+    """An empty atom table, the one of scalars that codes both factors
+    and variables, emptied in place and restored on exit.  The memos and
+    decode hold codes of the table in use, so they are cleared on entry
+    and on exit."""
+    memos = (wd.canonical_trace, wd._trace_mul, wd._mul_left_normed, scalars.decode)
+    codes, primes, atoms = scalars.ATOM_CODES, scalars._PRIMES, scalars._ATOMS
+    saved = (dict(codes), primes[:], atoms[:])
     for memo in memos:
         memo.cache_clear()
-    monkeypatch.setattr(wd, "_FACTORS", [])
-    monkeypatch.setattr(wd, "_FACTOR_IDS", {})
+    codes.clear()
+    primes[:] = atoms[:] = []
     yield
     for memo in memos:
         memo.cache_clear()
+    codes.clear()
+    codes.update(saved[0])
+    primes[:], atoms[:] = saved[1:]
 
 
-def test_factor_ids_in_reverse_order_keep_the_frozen_digest(fresh_factor_table):
+def test_factor_codes_in_reverse_order_keep_the_frozen_digest(fresh_atom_table):
     pairs = [("tr", ix) for k in (1, 2, 3) for ix in combinations((1, 2, 3), k)]
     pairs += [("n", (i,)) for i in (1, 2, 3)]
     for pair in sorted(pairs, reverse=True):
-        wd._factor_id(*pair)
-    # inside, tr(2) now sorts before tr(1); the decoded view does not
+        wd._factor_code(*pair)
+    # inside, tr(2) now has a smaller prime than tr(1); the decoded view
+    # still sorts by pairs
+    t1, t2 = (scalars.ATOM_CODES[("tr", (i,))] for i in (1, 2))
+    assert t2 < t1
     expr = wd.te_tr((1,)) * wd.te_tr((2,))
-    assert list(expr._terms) == [(wd._FACTOR_IDS[("tr", (2,))],
-                                  wd._FACTOR_IDS[("tr", (1,))])]
+    assert list(expr._terms) == [t1 * t2]
     assert expr.terms == {(("tr", (1,)), ("tr", (2,))): 1}
     test_normalize_trace_frozen_digest()
-    assert len(wd._FACTORS) == len(pairs)
+    assert len(scalars._ATOMS) == len(pairs)
 
 
 def test_memo_entries_are_never_mutated(monkeypatch):
@@ -472,22 +482,23 @@ def test_memo_entries_are_never_mutated(monkeypatch):
     assert_unchanged()
 
 
-def test_factor_table_holds_one_canonical_pair_per_factor(fresh_factor_table):
+def test_factor_table_holds_one_canonical_pair_per_factor(fresh_atom_table):
     k = 3
     for w in labeled_words(5, k):
         wd.normalize_trace(w)
-    assert 0 < len(wd._FACTORS) <= 2 ** k - 1 + k
-    for f in wd._FACTORS:
+    atoms = scalars._ATOMS
+    assert 0 < len(atoms) <= 2 ** k - 1 + k
+    for f in atoms:
         assert type(f) is tuple and wd.Descriptor(*f) == f
-    assert wd._FACTOR_IDS == {f: i for i, f in enumerate(wd._FACTORS)}
+    assert scalars.ATOM_CODES == dict(zip(atoms, scalars._PRIMES))
 
 
-def test_factor_indices_must_be_ints(fresh_factor_table):
+def test_factor_indices_must_be_ints(fresh_atom_table):
     # (1.0, 2) equals the interned (1, 2), and is refused all the same
     wd.te_tr((1, 2))
     for make in (lambda: wd.te_tr((1.0, 2)), lambda: wd.te_norm(True),
                  lambda: wd.te_tr((1, 2.5))):
         with pytest.raises(ValueError):
             make()
-    assert wd._FACTORS == [("tr", (1, 2))]
+    assert scalars._ATOMS == [("tr", (1, 2))]
     assert repr(wd.te_tr((1, 2))) == "tr(1,2)"
