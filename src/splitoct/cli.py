@@ -21,7 +21,7 @@ from . import octonion as oc
 from . import orbits as ob
 from . import suite
 from . import symbolic as sy
-from .invariants import evaluate_family, family_names
+from .invariants import _levels, family_names
 from .scalars import GF, QQ
 
 __all__ = ["main", "parse_tuple_file", "ParseError"]
@@ -125,11 +125,12 @@ def _load(path):
 
 def cmd_eval(args, out):
     _ring, tup = _load(args.file)
-    values = evaluate_family(args.family, tup, args.degree)
+    _descs, levels = _levels(args.family, tup, args.degree)
     names = family_names(args.family, len(tup), args.degree)
-    # the whole table is formatted before anything is written
-    out.writelines(["%s = %s\n" % (name, value)
-                    for name, (_desc, value) in zip(names, values)])
+    # the whole table is formatted before anything is written; a GF(p)
+    # value is its residue, whose str is that of its FpElement
+    out.writelines(["%s = %s\n" % line for pos, values in levels
+                    for line in zip(names[pos:pos + len(values)], values)])
     return 0
 
 

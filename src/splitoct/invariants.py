@@ -5,14 +5,16 @@ A descriptor (words.Descriptor) is either n(i) or tr(i1,...,ik) with
 strictly increasing indices; the trace is always taken of the
 left-normed product.  words.eval_descriptor, re-exported here, evaluates
 one descriptor on ring elements; evaluate_family evaluates a whole
-family on integer rows that the private _lift makes once per tuple.
-Over GF(p) with p - 1 < 2^30 the rows are one (n, 8) int64 array and
-each degree level is one gathered product of all its descriptors,
-octonion._ZORN_TABLE as index arrays; over any other ring a scalar loop
-runs octonion._zorn and _zorn_trace on one descriptor at a time.  Both
-are checked against eval_descriptor, which shares none of the lift, its
-scales or its wrap, only the Zorn formulas, and the array path also
-against the scalar loop.
+family, one degree level at a time, on integer rows that the private
+_lift makes once per tuple.  Over GF(p) with p < 2^50 the rows are one
+(n, 8) int64 array and each degree level is one gathered product of all
+its descriptors, octonion._ZORN_TABLE as index arrays, reduced mod p
+once per sum for p - 1 < 2^30 and by a float-quotient mulmod of each
+product above; over any other ring a scalar loop runs octonion._zorn and
+_zorn_trace on one descriptor at a time.  Both are checked against
+eval_descriptor, which shares none of the lift, its scales or its wrap,
+only the Zorn formulas, and the array path also against the scalar loop.
+The CLI prints a level's GF(p) values from their int residues.
 descriptor_polynomial runs eval_descriptor on generic octonions over a
 polynomial ring, where Octonion products and traces sum the same
 formula, as the table octonion._ZORN_TABLE, straight into term dicts.
@@ -146,56 +148,80 @@ def evaluate_family(family, tup, d):
     product of tr(i1,...,ik) is the stored row of (i1,...,i(k-1)) times
     one more member, and only the rows of the previous length are kept
     while those of the next length are built.  The last length,
-    min(d, n), needs no row, only its trace.  Over GF(p) with
-    p - 1 < 2^30 each degree level is computed at once, at its first
-    descriptor (_lane_values); over any other ring one descriptor at a
-    time (_family_values).  A value becomes a ring element when it is
-    yielded, not before.  eval_descriptor, on ring elements, is the
-    reference both are checked against.
+    min(d, n), needs no row, only its trace.  Values come one degree
+    level at a time (_levels), computed at the level's first descriptor;
+    over GF(p) each becomes a ring element when it is yielded, not
+    before.  eval_descriptor, on ring elements, is the reference the
+    levels are checked against.
 
     Raises ValueError at the call, before any work, for an empty tuple,
     members over different rings, or a family enumerate_set refuses.
     """
+    descs, levels = _levels(family, tup, d)
+    ring = tup[0].ring
+    return _pairs(descs, levels, ring.elem if type(ring) is PrimeField else None)
+
+
+def _pairs(descs, levels, elem):
+    """(descriptor, value) over the levels of _levels, each value mapped
+    by elem unless elem is None."""
+    for pos, values in levels:
+        yield from zip(descs[pos:pos + len(values)],
+                       map(elem, values) if elem else values)
+
+
+def _levels(family, tup, d):
+    """(descriptors, levels) of the family on the tuple, checked as
+    evaluate_family checks them, before any work.
+
+    levels yields (start, values) for each run of descriptors of one kind
+    and length, descriptors[start:start + len(values)], computed when it
+    is reached: the traces of length 1, the norms, then the traces of each
+    length 2..min(d, n).  Over GF(p) the values are int residues, over QQ
+    Fractions and over any other ring ring elements.  Over GF(p) with
+    p < 2^50 a level is one array product (_lane_levels), over any other
+    ring a scalar loop (_scalar_levels)."""
     ring = oc.ring_of(tup)
     descs, _names, steps = _family(family, len(tup), d)
     rows = _lift(ring, tup)
     if type(rows) is np.ndarray:
-        return _lane_values(descs, steps, ring, rows)
-    return _family_values(descs, rows, min(d, len(tup)))
+        return descs, _lane_levels(descs, steps, ring.p, rows)
+    return descs, _scalar_levels(descs, rows, min(d, len(tup)))
 
 
-def _family_values(descs, lifted, top):
-    """evaluate_family one descriptor at a time: octonion._zorn and
-    _zorn_trace on the rows of _scalar_lift, over any ring.  Over GF(p)
-    with p - 1 < 2^30 it is the reference _lane_values is tested
-    against."""
+def _scalar_levels(descs, lifted, top):
+    """_levels one descriptor at a time: octonion._zorn and _zorn_trace on
+    the rows of _scalar_lift, over any ring.  Over GF(p) with p < 2^50 it
+    is the reference _lane_levels is tested against."""
     zorn, zorn_trace = oc._zorn, oc._zorn_trace
     rows, scales, p, wrap = lifted
-    prev = {(i,): (r, s) for i, (r, s) in enumerate(zip(rows, scales), 1)}
-    cur = {}
-    level = 2
-    for desc in descs:
-        kind, idx = desc
-        b, sb = rows[idx[-1] - 1], scales[idx[-1] - 1]
+    members = list(zip(rows, scales))
+    prev = {(i,): m for i, m in enumerate(members, 1)}
+    pos = 0
+    while pos < len(descs):
+        kind, idx = descs[pos]
         k = len(idx)
         if kind == "n":
-            yield desc, wrap(b[0] * b[7] - oc.dot3(b[1:4], b[4:7]), sb * sb)
-            continue
-        if k == 1:
-            yield desc, wrap(b[0] + b[7], sb)
-            continue
-        if k > level:
-            prev, cur, level = cur, {}, k
-        a, sa = prev[idx[:-1]]
-        s = sa * sb
-        if k == top:
-            yield desc, wrap(zorn_trace(a, b), s)
-            continue
-        c = zorn(a, b)
-        if p:
-            c = [v % p for v in c]
-        cur[idx] = c, s
-        yield desc, wrap(c[0] + c[7], s)
+            values = [wrap(b[0] * b[7] - oc.dot3(b[1:4], b[4:7]), s * s)
+                      for b, s in members]
+        elif k == 1:
+            values = [wrap(b[0] + b[7], s) for b, s in members]
+        else:
+            cur = {}
+            values = []
+            for _kind, idx in descs[pos:pos + comb(len(rows), k)]:
+                (a, sa), (b, sb) = prev[idx[:-1]], members[idx[-1] - 1]
+                if k == top:
+                    values.append(wrap(zorn_trace(a, b), sa * sb))
+                    continue
+                c = zorn(a, b)
+                if p:
+                    c = [v % p for v in c]
+                cur[idx] = c, sa * sb
+                values.append(wrap(c[0] + c[7], sa * sb))
+            prev = cur
+        yield pos, values
+        pos += len(values)
 
 
 def _gather(table):
@@ -210,6 +236,8 @@ def _gather(table):
 
 _PRODUCT = _gather(oc._ZORN_TABLE)
 _TRACE = _gather(oc._TRACE_ROWS)
+# the norm alpha beta - <u, v> of a row, as the table of its pair (a, a)
+_NORM = _gather((((0, 7, 1), (1, 4, -1), (2, 5, -1), (3, 6, -1)),))
 
 
 def _lane_product(a, pre, b, last, table, p):
@@ -217,27 +245,39 @@ def _lane_product(a, pre, b, last, table, p):
     b[last[r]]) for every r at once, mod p: an array (len(pre), rows).
 
     a holds residue rows (m, 8) and b member rows followed by their
-    negatives (n, 16).  A sum has at most 8 products of residues, so it
-    stays below 8 (p - 1)^2 < 2^63 in absolute value and is reduced
-    once."""
+    negatives (n, 16), every entry below p < 2^50 in absolute value.  A
+    sum has at most 8 products.  For p - 1 < 2^30 each product is below
+    (p - 1)^2, so the sum stays below 8 (p - 1)^2 < 2^63 and is reduced
+    once.  Above, each product x y is first reduced by a float quotient,
+    q = trunc(x (1/p) y) and r = x y - q p in wrapping int64: x and y
+    are exact in float64, and three roundings put x (1/p) y within
+    3 2^-53 p < 0.4 of x y / p, so |q - x y / p| < 2 and |r| < 2p.  r
+    fits in int64, so the wrapped difference is exact, and a sum of 8
+    such r stays below 16p < 2^54 before its one reduction."""
     i, j = table
     x = a.take(pre, 0)[:, i]
-    x *= b.take(last, 0)[:, j]
+    y = b.take(last, 0)[:, j]
+    if p - 1 < 2 ** 30:
+        x *= y
+        return x.sum(1) % p
+    q = x * (1.0 / p)
+    q *= y
+    x *= y
+    x -= q.astype(np.int64) * p
     return x.sum(1) % p
 
 
-def _lane_values(descs, steps, ring, rows):
-    """evaluate_family over GF(p) with p - 1 < 2^30, on the (n, 8) int64
-    residue array of _lift, one degree level at a time.
+def _lane_levels(descs, steps, p, rows):
+    """_levels over GF(p) with p < 2^50, on the (n, 8) int64 residue array
+    of _lift, one degree level at a time.
 
     A level is computed at its first descriptor, so a consumer that stops
-    early computes no later level: the norms and the traces of length 1
-    on the columns of rows, the rows of length k = 2..min(d, n) - 1 as
-    one _lane_product of the rows of length k - 1 and the members by the
-    index arrays of _steps, and the top length only as traces.  Each value
-    becomes a ring element straight from the level's list of residues."""
-    p, elem = ring.p, ring.elem
-    cols = rows.T
+    early computes no later level: the traces of length 1 on the columns
+    of rows, the norms as one _lane_product with _NORM, the rows of length
+    k = 2..min(d, n) - 1 as one _lane_product of the rows of length k - 1
+    and the members by the index arrays of _steps, and the top length only
+    as traces."""
+    members = np.arange(len(rows))
     signed = np.hstack((rows, -rows))
     cur = rows
     pos = 0
@@ -245,9 +285,9 @@ def _lane_values(descs, steps, ring, rows):
         kind, idx = descs[pos]
         k = len(idx)
         if kind == "n":
-            values = (cols[0] * cols[7] - oc.dot3(cols[1:4], cols[4:7])) % p
+            values = _lane_product(rows, members, signed, members, _NORM, p)[:, 0]
         elif k == 1:
-            values = (cols[0] + cols[7]) % p
+            values = (rows[:, 0] + rows[:, 7]) % p
         else:
             pre, last = steps[k - 2]
             if k <= len(steps):
@@ -255,30 +295,32 @@ def _lane_values(descs, steps, ring, rows):
                 values = (cur[:, 0] + cur[:, 7]) % p
             else:
                 values = _lane_product(cur, pre, signed, last, _TRACE, p)[:, 0]
-        stop = pos + len(values)
-        yield from zip(descs[pos:stop], map(elem, values.tolist()))
-        pos = stop
+        values = values.tolist()
+        yield pos, values
+        pos += len(values)
 
 
 def _lift(ring, octs):
     """The rows evaluate_family runs on, for octonions over ring.
 
-    Over GF(p) with 8 (p - 1)^2 < 2^63, that is p - 1 < 2^30, the
-    residues as one (n, 8) int64 array, on which no sum of _lane_product
-    overflows; over any other ring _scalar_lift.
+    Over GF(p) with p < 2^50 the residues as one (n, 8) int64 array, on
+    which _lane_product reduces every sum exactly: directly for
+    p - 1 < 2^30, by a float-quotient mulmod of each product above, whose
+    error bound needs residues below 2^50.  QQ, larger primes and any
+    other ring get _scalar_lift.
     """
-    if type(ring) is PrimeField and 8 * (ring.p - 1) ** 2 < 2 ** 63:
+    if type(ring) is PrimeField and ring.p < 2 ** 50:
         return np.array([x.r for a in octs for x in a._c],
                         dtype=np.int64).reshape(-1, 8)
     return _scalar_lift(ring, octs)
 
 
 def _scalar_lift(ring, octs):
-    """The rows octonion._zorn runs on in _family_values: (rows, scales,
+    """The rows octonion._zorn runs on in _scalar_levels: (rows, scales,
     p, wrap).
 
     Over GF(p) a row holds the residues, p is the modulus to reduce a row
-    by, and wrap(v, s) is ring.elem(v % p).  Over QQ a row holds the
+    by, and wrap(v, s) is the residue v % p.  Over QQ a row holds the
     numerators of one octonion scaled to its own lcm denominator s, and
     wrap(v, s) is Fraction(v, s); a product's scale is the product of its
     factors' scales, and a norm's the square of its octonion's.  Over any
@@ -286,9 +328,9 @@ def _scalar_lift(ring, octs):
     has a p; every scale but QQ's is 1.
     """
     if type(ring) is PrimeField:
-        p, elem = ring.p, ring.elem
+        p = ring.p
         return ([[x.r for x in a._c] for a in octs], [1] * len(octs), p,
-                lambda v, s: elem(v % p))
+                lambda v, s: v % p)
     if ring is QQ:
         rows, scales = [], []
         for a in octs:

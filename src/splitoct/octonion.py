@@ -21,10 +21,11 @@ finished dict mod p once.  _zorn on the Polynomial elements is the
 slow exact reference it is tested against.
 invariants.evaluate_family runs _zorn and _zorn_trace on integer rows
 that a lift private to it makes from a tuple, and over GF(p) with
-p - 1 < 2^30 _ZORN_TABLE and _TRACE_ROWS as index arrays on one int64
-array of rows per degree level.  The bilinear form
-q(a, b) = tr(a conj(b)) is one call of trace_mul.  ring_of is the one
-check that a tuple lives over one ring.
+p < 2^50 _ZORN_TABLE and _TRACE_ROWS as index arrays on one int64
+array of rows per degree level, each sum reduced mod p once for
+p - 1 < 2^30 and each product by a float-quotient mulmod above.  The
+bilinear form q(a, b) = tr(a conj(b)) is one call of trace_mul.  ring_of
+is the one check that a tuple lives over one ring.
 """
 
 from operator import add, neg, sub

@@ -360,8 +360,8 @@ def _count_products(monkeypatch):
 
 def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):
     calls = _count_products(monkeypatch)
-    # p - 1 >= 2^30: the scalar row loop
-    path = write(tmp_path, "t.oct", _tuple_text(10 ** 14 + 31, 12))
+    # p >= 2^50: the scalar row loop
+    path = write(tmp_path, "t.oct", _tuple_text(2 ** 61 - 1, 12))
     assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3808
     # the family runs on lifted rows, never through Octonion.__mul__: one
@@ -370,19 +370,35 @@ def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):
     assert calls == {"mul": 0, "zorn": 3289, "zorn_trace": 495}
 
 
-def test_eval_over_a_small_field_forms_no_scalar_product(tmp_path, capsys, monkeypatch):
-    # p - 1 < 2^30: every level is one array product, and the table is
-    # the scalar row loop's, byte for byte
-    text = _tuple_text(5, 12)
+def _assert_eval_is_the_scalar_table(tmp_path, capsys, monkeypatch, text):
+    """eval of S at degree 8 prints the scalar row loop's table, byte for
+    byte, with every level one array product: no scalar product at all."""
     ring, tup = cli.parse_tuple_file(text)
-    descs = inv.enumerate_set("S", 12, 8)
-    want = "".join("%s = %s\n" % (desc.name(), value) for desc, value in
-                   inv._family_values(descs, inv._scalar_lift(ring, tup), 8))
+    descs = inv.enumerate_set("S", len(tup), 8)
+    want = "".join("%s = %s\n" % (descs[pos + k].name(), ring.elem(v))
+                   for pos, values in inv._scalar_levels(
+                       descs, inv._scalar_lift(ring, tup), min(8, len(tup)))
+                   for k, v in enumerate(values))
     calls = _count_products(monkeypatch)
     path = write(tmp_path, "t.oct", text)
     assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
     assert capsys.readouterr().out == want
     assert calls == {"mul": 0, "zorn": 0, "zorn_trace": 0}
+
+
+def test_eval_over_a_small_field_forms_no_scalar_product(tmp_path, capsys, monkeypatch):
+    # p - 1 < 2^30: every product of residues is exact in int64
+    _assert_eval_is_the_scalar_table(tmp_path, capsys, monkeypatch, _tuple_text(5, 12))
+
+
+def test_eval_over_a_large_field_forms_no_scalar_product(tmp_path, capsys, monkeypatch):
+    # 2^30 <= p - 1 < 2^50: each product is reduced by the float-quotient
+    # mulmod; the residues spread over the whole field
+    p = 10 ** 14 + 31
+    rows = (" ".join(str((7 * i + 3 * j + 1) * 123456789012345 % p) for j in range(8))
+            for i in range(12))
+    _assert_eval_is_the_scalar_table(tmp_path, capsys, monkeypatch,
+                                     "field p=%d\n%s\n" % (p, "\n".join(rows)))
 
 
 def test_separate_mismatched_fields(tmp_path, capsys):
@@ -669,3 +685,38 @@ def test_cli_stdout_frozen_digest(tmp_path):
                     run(label + " separate " + name, ["separate", path, b])
     assert h.hexdigest() == \
         "6430b65079894d5b71172ca4605d3aa88e9ee6cfda7beb59f79fac91f3260e72"
+
+
+def test_cli_stdout_frozen_digest_over_large_primes(tmp_path):
+    """The digest of test_cli_stdout_frozen_digest over GF(10^14+31) and
+    GF(1125899906842597), the largest prime below 2^50, n = 1..5: both
+    fields run the int64 lanes by a float-quotient mulmod, and the digest
+    was frozen from the scalar loop that ran them before."""
+    h = hashlib.sha256()
+
+    def run(label, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        h.update(("%s\n%d\n%s" % (label, code, out.getvalue())).encode())
+
+    for spec in ("p=100000000000031", "p=1125899906842597"):
+        for n in range(1, 6):
+            for s, support in enumerate(_DIGEST_SUPPORTS):
+                label = "%s n=%d support=%d" % (spec, n, s)
+                rows = _digest_rows(n, support)
+                path = write(tmp_path, "a.oct", _digest_text(spec, rows))
+                for family in ("S", "S0"):
+                    run(label + " eval " + family,
+                        ["eval", path, "--family", family])
+                for lam in _DIGEST_LAMBDAS:
+                    run(label + " limit " + lam,
+                        ["limit", path, "--lambda=" + lam])
+                for name, other in (("hbar", _hbar_rows(rows)),
+                                    ("swap12", _swap12_rows(rows)),
+                                    ("shift", _shift_rows(rows))):
+                    b = write(tmp_path, "b.oct", _digest_text(spec, other))
+                    run(label + " separate " + name, ["separate", path, b])
+    assert h.hexdigest() == \
+        "7d38f855494eb4a70895b6d23ee4a08d6ac3561f973b020db967bd5ec613dd50"

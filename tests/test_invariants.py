@@ -121,9 +121,11 @@ def _reference_family(family, tup, d):
             for desc in inv.enumerate_set(family, len(tup), d)]
 
 
-# GF(1073741789): the largest p with p - 1 < 2^30, the array path's bound
-_RINGS = (QQ, GF(2), GF(5), GF(1073741789), GF(10 ** 14 + 31), GF(2 ** 61 - 1),
-          GF(10 ** 24 + 7))
+# GF(1073741789): the largest p with p - 1 < 2^30, the bound of the
+# array path's direct product; GF(1125899906842597): the largest prime
+# below 2^50, the bound of its mulmod
+_RINGS = (QQ, GF(2), GF(5), GF(1073741789), GF(10 ** 14 + 31),
+          GF(1125899906842597), GF(2 ** 61 - 1), GF(10 ** 24 + 7))
 # one distinct prime denominator per QQ member, the worst case for a
 # common denominator over the whole tuple
 _PRIMES_NEAR_1E6 = (999907, 999917, 999931, 999953, 999959, 999961, 999979,
@@ -174,26 +176,49 @@ def test_evaluate_family_to_the_top_trace():
                 _assert_family_matches(family, tup, n)
 
 
-def _scalar_family(family, tup, d):
-    """The family by the scalar row loop, over any ring."""
+def _scalar_levels(family, tup, d):
+    """The levels of the family by the scalar row loop, over any ring."""
     descs = inv.enumerate_set(family, len(tup), d)
     lifted = inv._scalar_lift(oc.ring_of(tup), tup)
-    return list(inv._family_values(descs, lifted, min(d, len(tup))))
+    return list(inv._scalar_levels(descs, lifted, min(d, len(tup))))
+
+
+def _scalar_family(family, tup, d):
+    """The family by the scalar row loop over GF(p): its levels, which
+    hold plain int residues and cover the family run after run, as
+    (descriptor, ring element) pairs."""
+    ring = oc.ring_of(tup)
+    descs = inv.enumerate_set(family, len(tup), d)
+    out = []
+    for pos, values in _scalar_levels(family, tup, d):
+        assert pos == len(out)
+        assert all(type(v) is int and 0 <= v < ring.p for v in values)
+        out += zip(descs[pos:pos + len(values)], map(ring.elem, values))
+    assert len(out) == len(descs)
+    return out
 
 
 def _assert_lanes_match(family, tup, d):
-    """The array path of a small GF(p) against eval_descriptor and the
-    scalar row loop: equal values of equal types, plain int residues."""
+    """The array path of a GF(p) with p < 2^50 against eval_descriptor and
+    the scalar row loop: equal values of equal types, and the same levels
+    of plain int residues."""
     assert type(inv._lift(oc.ring_of(tup), tup)) is np.ndarray
     got = list(inv.evaluate_family(family, tup, d))
     for ref in (_reference_family(family, tup, d), _scalar_family(family, tup, d)):
         assert got == ref
         assert [type(v) for _desc, v in got] == [type(v) for _desc, v in ref]
     assert all(type(v.r) is int for _desc, v in got)
+    levels = list(inv._levels(family, tup, d)[1])
+    assert levels == _scalar_levels(family, tup, d)
+    assert all(type(v) is int for _pos, values in levels for v in values)
 
 
-# GF(1073741789) is the largest prime with p - 1 < 2^30
-_LANE_PRIMES = (2, 3, 5, 1000003, 1073741789)
+# GF(1073741789) is the largest prime with p - 1 < 2^30, which the lanes
+# multiply directly, and GF(1073741827) the smallest above it, which they
+# reduce by the float-quotient mulmod; GF(1125899906842597) is the largest
+# prime below 2^50, the mulmod's bound
+_LANE_PRIMES = (2, 3, 5, 1000003, 1073741789, 1073741827, 10 ** 14 + 31,
+                1125899906842597)
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,7 +228,8 @@ def test_lanes_match_eval_descriptor_and_the_scalar_loop(data):
     family = data.draw(st.sampled_from(("S", "S0")))
     n = data.draw(st.integers(1, 8))
     d = data.draw(st.one_of(st.just(n), st.integers(1, 8)))
-    coord = st.one_of(st.integers(0, field.p - 1), st.just(field.p - 1))
+    p = field.p
+    coord = st.one_of(st.integers(0, p - 1), st.sampled_from((0, 1, p - 2, p - 1)))
     tup = tuple(oc.from_coords(field, data.draw(st.lists(coord, min_size=8, max_size=8)))
                 for _ in range(n))
     _assert_lanes_match(family, tup, d)
@@ -212,22 +238,27 @@ def test_lanes_match_eval_descriptor_and_the_scalar_loop(data):
 def test_lanes_at_the_int64_bound(monkeypatch):
     # every coordinate p - 1 gives every product of residues its largest
     # size, (p - 1)^2, and the top traces sum 8 of them
-    field = GF(1073741789)
-    assert 8 * (field.p - 1) ** 2 < 2 ** 63
-    worst = tuple(oc.from_coords(field, [field.p - 1] * 8) for _ in range(8))
-    for family in ("S", "S0"):
-        _assert_lanes_match(family, worst, 8)
+    def worst(field):
+        return tuple(oc.from_coords(field, [field.p - 1] * 8) for _ in range(8))
+
+    # the direct product up to p - 1 < 2^30, the mulmod above it and up
+    # to the largest prime below 2^50
+    assert 8 * (1073741789 - 1) ** 2 < 2 ** 63 <= 8 * (1073741827 - 1) ** 2
+    for p in (1073741789, 1073741827, 1125899906842597):
+        assert p < 2 ** 50
+        for family in ("S", "S0"):
+            _assert_lanes_match(family, worst(GF(p)), 8)
     # the next prime takes the scalar row loop
-    big = GF(1073741827)
-    worst = tuple(oc.from_coords(big, [big.p - 1] * 8) for _ in range(8))
-    assert type(inv._lift(big, worst)) is tuple
+    big = GF(1125899906842679)
+    assert big.p > 2 ** 50
+    assert type(inv._lift(big, worst(big))) is tuple
 
     def refused(*args):
         raise AssertionError("the array path ran")
 
     monkeypatch.setattr(inv, "_lane_product", refused)
     for family in ("S", "S0"):
-        _assert_family_matches(family, worst, 8)
+        _assert_family_matches(family, worst(big), 8)
 
 
 def test_evaluate_family_refuses_empty_and_mixed_tuples():

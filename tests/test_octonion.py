@@ -195,7 +195,8 @@ def test_scale_coerces_its_scalar():
 
 
 _PRODUCT_RINGS = (GF(2), GF(3), GF(5), GF(1000003), GF(1073741789),
-                  GF(10 ** 14 + 31), QQ)
+                  GF(1073741827), GF(10 ** 14 + 31), GF(1125899906842597),
+                  GF(2 ** 61 - 1), QQ)
 
 
 @st.composite
@@ -208,7 +209,7 @@ def _octonion_pair(draw):
                            st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
                                      st.integers(1, 10 ** 4)))
     else:
-        scalar = st.integers(0, ring.p - 1)
+        scalar = st.one_of(st.integers(0, ring.p - 1), st.just(ring.p - 1))
     coords = st.lists(scalar, min_size=8, max_size=8)
     return (ring, oc.from_coords(ring, draw(coords)),
             oc.from_coords(ring, draw(coords)))
@@ -219,21 +220,23 @@ def test_integer_products_match_the_formula_on_ring_elements(pair):
     """The residue rows over GF(p) and the scaled-numerator rows over QQ
     that the family evaluator's scalar loop lifts to, multiplied by the
     Zorn formula and wrapped back, equal the product on the ring
-    elements; over GF(p) with p - 1 < 2^30 so do the product and the
-    trace of the array path on its int64 rows."""
+    elements; over GF(p) with p < 2^50 so do the product and the trace of
+    the array path on its int64 rows."""
     ring, a, b = pair
     prod = a * b
     (ra, rb), (sa, sb), p, wrap = inv._scalar_lift(ring, (a, b))
-    c = oc._zorn(ra, rb)
+    c = tuple(wrap(v, sa * sb) for v in oc._zorn(ra, rb))
     if p:
-        c = [v % p for v in c]
-    assert prod == oc.Octonion(ring, tuple(wrap(v, sa * sb) for v in c))
+        # over GF(p) wrap gives the residue
+        assert all(type(v) is int and 0 <= v < p for v in c)
+        c = tuple(map(ring.elem, c))
+    assert prod == oc.Octonion(ring, c)
     for x in prod.coords():
         if ring is QQ:
             assert type(x) is Fraction
         else:
             assert type(x) is FpElement and x.field is ring
-    if p and p - 1 < 2 ** 30:
+    if p and p < 2 ** 50:
         rows = inv._lift(ring, (a, b))
         signed = np.hstack((rows, -rows))
         c = inv._lane_product(rows, [0], signed, [1], inv._PRODUCT, p)[0]

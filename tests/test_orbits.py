@@ -106,7 +106,10 @@ def test_separate_at_a_norm_forms_no_product(monkeypatch):
     assert calls == []
 
 
-def test_separate_at_a_norm_computes_no_level_over_a_small_field(monkeypatch):
+def _assert_separate_at_a_norm_computes_no_level(monkeypatch, field):
+    """Over a GF(p) on the lanes: no product or trace of a level when n(1)
+    separates, and level 2 and the traces of level 3 on each side when
+    nothing does.  The norms run through _lane_product too, with _NORM."""
     calls = []
 
     def counting(fn):
@@ -118,17 +121,32 @@ def test_separate_at_a_norm_computes_no_level_over_a_small_field(monkeypatch):
     for name in ("_zorn", "_zorn_trace"):
         monkeypatch.setattr(oc, name, counting(getattr(oc, name)))
     monkeypatch.setattr(oc.Octonion, "__mul__", counting(oc.Octonion.__mul__))
-    monkeypatch.setattr(inv, "_lane_product", counting(inv._lane_product))
-    f5 = GF(5)
+    lane_product = inv._lane_product
+
+    def level_products(a, pre, b, last, table, p):
+        if table is not inv._NORM:
+            calls.append("_PRODUCT" if table is inv._PRODUCT else "_TRACE")
+        return lane_product(a, pre, b, last, table, p)
+
+    monkeypatch.setattr(inv, "_lane_product", level_products)
     # the same traces, norms 0 and -1 at n(1)
-    a = (oc.unit_u(f5, 1), oc.identity(f5), oc.unit_v(f5, 2))
-    b = (oc.unit_u(f5, 1) + oc.unit_v(f5, 1),) + a[1:]
+    a = (oc.unit_u(field, 1), oc.identity(field), oc.unit_v(field, 2))
+    b = (oc.unit_u(field, 1) + oc.unit_v(field, 1),) + a[1:]
     report = ob.separate(a, b, "S", 3)
-    assert report.witness.name() == "n(1)" and report.values == (f5(0), f5(-1))
+    assert report.witness.name() == "n(1)" and report.values == (field(0), field(-1))
     assert calls == []
     # a pair not separated computes level 2 and the traces of level 3 on each side
     assert not ob.separate(a, a, "S", 3)
-    assert calls == ["_lane_product"] * 4
+    assert calls == ["_PRODUCT", "_PRODUCT", "_TRACE", "_TRACE"]
+
+
+def test_separate_at_a_norm_computes_no_level_over_a_small_field(monkeypatch):
+    _assert_separate_at_a_norm_computes_no_level(monkeypatch, GF(5))
+
+
+def test_separate_at_a_norm_computes_no_level_over_a_large_field(monkeypatch):
+    # 2^30 <= p - 1 < 2^50: the lanes reduce each product by the mulmod
+    _assert_separate_at_a_norm_computes_no_level(monkeypatch, GF(10 ** 14 + 31))
 
 
 def test_tuple_functions_refuse_empty_and_mixed_tuples():
