@@ -720,3 +720,38 @@ def test_cli_stdout_frozen_digest_over_large_primes(tmp_path):
                     run(label + " separate " + name, ["separate", path, b])
     assert h.hexdigest() == \
         "7d38f855494eb4a70895b6d23ee4a08d6ac3561f973b020db967bd5ec613dd50"
+
+
+def test_cli_stdout_frozen_digest_over_primes_above_2_50(tmp_path):
+    """The digest of test_cli_stdout_frozen_digest_over_large_primes over
+    GF(2^61-1) and GF(10^24+7), n = 1..5: residues too wide for the int64
+    rows, held as Python ints; the digest was frozen from the scalar loop
+    that ran them before they joined the lane walker."""
+    h = hashlib.sha256()
+
+    def run(label, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        h.update(("%s\n%d\n%s" % (label, code, out.getvalue())).encode())
+
+    for spec in ("p=%d" % (2 ** 61 - 1), "p=%d" % (10 ** 24 + 7)):
+        for n in range(1, 6):
+            for s, support in enumerate(_DIGEST_SUPPORTS):
+                label = "%s n=%d support=%d" % (spec, n, s)
+                rows = _digest_rows(n, support)
+                path = write(tmp_path, "a.oct", _digest_text(spec, rows))
+                for family in ("S", "S0"):
+                    run(label + " eval " + family,
+                        ["eval", path, "--family", family])
+                for lam in _DIGEST_LAMBDAS:
+                    run(label + " limit " + lam,
+                        ["limit", path, "--lambda=" + lam])
+                for name, other in (("hbar", _hbar_rows(rows)),
+                                    ("swap12", _swap12_rows(rows)),
+                                    ("shift", _shift_rows(rows))):
+                    b = write(tmp_path, "b.oct", _digest_text(spec, other))
+                    run(label + " separate " + name, ["separate", path, b])
+    assert h.hexdigest() == \
+        "6da94aeacaf6b8e8e46172dc24517d43be10a2898211938308a93e36a4adb6f7"
