@@ -5,16 +5,17 @@ A descriptor (words.Descriptor) is either n(i) or tr(i1,...,ik) with
 strictly increasing indices; the trace is always taken of the
 left-normed product.  words.eval_descriptor, re-exported here, evaluates
 one descriptor on ring elements; evaluate_family evaluates a whole
-family, one degree level at a time, on integer rows that the private
-_lift makes once per tuple.  Over GF(p) with p < 2^50 the rows are one
-(n, 8) int64 array and each degree level is one gathered product of all
-its descriptors, octonion._ZORN_TABLE as index arrays, reduced mod p
-once per sum for p - 1 < 2^30 and by a float-quotient mulmod of each
-product above; over any other ring a scalar loop runs octonion._zorn and
-_zorn_trace on one descriptor at a time.  Both are checked against
-eval_descriptor, which shares none of the lift, its scales or its wrap,
-only the Zorn formulas, and the array path also against the scalar loop.
-The CLI prints a level's GF(p) values from their int residues.
+family, one degree level at a time, on the rows that the private _lift
+makes once per tuple, over every ring by one walker: each degree level
+is one gathered product of all its descriptors, octonion._ZORN_TABLE as
+index arrays.  Over GF(p) with p < 2^50 the rows are one (n, 8) int64
+array, reduced mod p once per sum for p - 1 < 2^30 and by a
+float-quotient mulmod of each product above; over any other ring they
+are an object array of Python ints (residues over a larger GF(p),
+numerators over a per-member denominator over QQ) or of ring elements.
+The walker is checked against eval_descriptor, which shares none of the
+lift, its scales or its reduction, only the Zorn formulas.  The CLI
+prints a level's GF(p) values from their int residues.
 descriptor_polynomial runs eval_descriptor on generic octonions over a
 polynomial ring, where Octonion products and traces sum the same
 formula, as the table octonion._ZORN_TABLE, straight into term dicts.
@@ -144,7 +145,7 @@ def evaluate_family(family, tup, d):
     """Yield (descriptor, value) for the family on the tuple, lazily and
     in the order of enumerate_set.
 
-    The tuple is lifted once into integer rows (_lift).  The left-normed
+    The tuple is lifted once into rows (_lift).  The left-normed
     product of tr(i1,...,ik) is the stored row of (i1,...,i(k-1)) times
     one more member, and only the rows of the previous length are kept
     while those of the next length are built.  The last length,
@@ -178,50 +179,11 @@ def _levels(family, tup, d):
     and length, descriptors[start:start + len(values)], computed when it
     is reached: the traces of length 1, the norms, then the traces of each
     length 2..min(d, n).  Over GF(p) the values are int residues, over QQ
-    Fractions and over any other ring ring elements.  Over GF(p) with
-    p < 2^50 a level is one array product (_lane_levels), over any other
-    ring a scalar loop (_scalar_levels)."""
+    Fractions and over any other ring ring elements.  Every ring runs
+    _lane_levels on the rows of _lift."""
     ring = oc.ring_of(tup)
     descs, _names, steps = _family(family, len(tup), d)
-    rows = _lift(ring, tup)
-    if type(rows) is np.ndarray:
-        return descs, _lane_levels(descs, steps, ring.p, rows)
-    return descs, _scalar_levels(descs, rows, min(d, len(tup)))
-
-
-def _scalar_levels(descs, lifted, top):
-    """_levels one descriptor at a time: octonion._zorn and _zorn_trace on
-    the rows of _scalar_lift, over any ring.  Over GF(p) with p < 2^50 it
-    is the reference _lane_levels is tested against."""
-    zorn, zorn_trace = oc._zorn, oc._zorn_trace
-    rows, scales, p, wrap = lifted
-    members = list(zip(rows, scales))
-    prev = {(i,): m for i, m in enumerate(members, 1)}
-    pos = 0
-    while pos < len(descs):
-        kind, idx = descs[pos]
-        k = len(idx)
-        if kind == "n":
-            values = [wrap(b[0] * b[7] - oc.dot3(b[1:4], b[4:7]), s * s)
-                      for b, s in members]
-        elif k == 1:
-            values = [wrap(b[0] + b[7], s) for b, s in members]
-        else:
-            cur = {}
-            values = []
-            for _kind, idx in descs[pos:pos + comb(len(rows), k)]:
-                (a, sa), (b, sb) = prev[idx[:-1]], members[idx[-1] - 1]
-                if k == top:
-                    values.append(wrap(zorn_trace(a, b), sa * sb))
-                    continue
-                c = zorn(a, b)
-                if p:
-                    c = [v % p for v in c]
-                cur[idx] = c, sa * sb
-                values.append(wrap(c[0] + c[7], sa * sb))
-            prev = cur
-        yield pos, values
-        pos += len(values)
+    return descs, _lane_levels(descs, steps, *_lift(ring, tup))
 
 
 def _gather(table):
@@ -240,26 +202,34 @@ _TRACE = _gather(oc._TRACE_ROWS)
 _NORM = _gather((((0, 7, 1), (1, 4, -1), (2, 5, -1), (3, 6, -1)),))
 
 
+def _mod(x, p):
+    """x mod p, or x itself for p = 0, the rings _lift leaves unreduced."""
+    return x % p if p else x
+
+
 def _lane_product(a, pre, b, last, table, p):
     """The rows of table, a _gather pair, on the pairs of rows (a[pre[r]],
-    b[last[r]]) for every r at once, mod p: an array (len(pre), rows).
+    b[last[r]]) for every r at once, mod p unless p = 0: an array
+    (len(pre), rows) of the dtype of a.
 
-    a holds residue rows (m, 8) and b member rows followed by their
-    negatives (n, 16), every entry below p < 2^50 in absolute value.  A
-    sum has at most 8 products.  For p - 1 < 2^30 each product is below
-    (p - 1)^2, so the sum stays below 8 (p - 1)^2 < 2^63 and is reduced
-    once.  Above, each product x y is first reduced by a float quotient,
-    q = trunc(x (1/p) y) and r = x y - q p in wrapping int64: x and y
-    are exact in float64, and three roundings put x (1/p) y within
-    3 2^-53 p < 0.4 of x y / p, so |q - x y / p| < 2 and |r| < 2p.  r
-    fits in int64, so the wrapped difference is exact, and a sum of 8
-    such r stays below 16p < 2^54 before its one reduction."""
+    a holds rows (m, 8) and b member rows followed by their negatives
+    (n, 16).  On object rows every product and sum is exact and the sum
+    is reduced once.  On int64 rows every entry is below p < 2^50 in
+    absolute value and a sum has at most 8 products.  For p - 1 < 2^30
+    each product is below (p - 1)^2, so the sum stays below
+    8 (p - 1)^2 < 2^63 and is reduced once.  Above, each product x y is
+    first reduced by a float quotient, q = trunc(x (1/p) y) and
+    r = x y - q p in wrapping int64: x and y are exact in float64, and
+    three roundings put x (1/p) y within 3 2^-53 p < 0.4 of x y / p, so
+    |q - x y / p| < 2 and |r| < 2p.  r fits in int64, so the wrapped
+    difference is exact, and a sum of 8 such r stays below 16p < 2^54
+    before its one reduction."""
     i, j = table
     x = a.take(pre, 0)[:, i]
     y = b.take(last, 0)[:, j]
-    if p - 1 < 2 ** 30:
+    if x.dtype == object or p - 1 < 2 ** 30:
         x *= y
-        return x.sum(1) % p
+        return _mod(x.sum(1), p)
     q = x * (1.0 / p)
     q *= y
     x *= y
@@ -267,78 +237,80 @@ def _lane_product(a, pre, b, last, table, p):
     return x.sum(1) % p
 
 
-def _lane_levels(descs, steps, p, rows):
-    """_levels over GF(p) with p < 2^50, on the (n, 8) int64 residue array
-    of _lift, one degree level at a time.
+def _lane_levels(descs, steps, rows, scales, p):
+    """_levels on the rows, scales and modulus of _lift, one degree level
+    at a time.
 
     A level is computed at its first descriptor, so a consumer that stops
     early computes no later level: the traces of length 1 on the columns
     of rows, the norms as one _lane_product with _NORM, the rows of length
     k = 2..min(d, n) - 1 as one _lane_product of the rows of length k - 1
     and the members by the index arrays of _steps, and the top length only
-    as traces."""
+    as traces.  Over QQ the scales of the rows of length k are those of
+    length k - 1 times the members' by the same index arrays, and each
+    value becomes Fraction(v, scale) when its level is yielded."""
     members = np.arange(len(rows))
-    signed = np.hstack((rows, -rows))
+    signed = np.concatenate((rows, -rows), 1)
     cur = rows
+    cur_scales = level_scales = scales
+    qq = scales is not None
     pos = 0
     while pos < len(descs):
         kind, idx = descs[pos]
         k = len(idx)
         if kind == "n":
             values = _lane_product(rows, members, signed, members, _NORM, p)[:, 0]
+            if qq:
+                level_scales = scales * scales
         elif k == 1:
-            values = (rows[:, 0] + rows[:, 7]) % p
+            values = _mod(rows[:, 0] + rows[:, 7], p)
+            level_scales = scales
         else:
             pre, last = steps[k - 2]
+            if qq:
+                level_scales = cur_scales.take(pre) * scales.take(last)
             if k <= len(steps):
                 cur = _lane_product(cur, pre, signed, last, _PRODUCT, p)
-                values = (cur[:, 0] + cur[:, 7]) % p
+                values = _mod(cur[:, 0] + cur[:, 7], p)
+                cur_scales = level_scales
             else:
                 values = _lane_product(cur, pre, signed, last, _TRACE, p)[:, 0]
         values = values.tolist()
+        if qq:
+            values = list(map(Fraction, values, level_scales.tolist()))
         yield pos, values
         pos += len(values)
 
 
 def _lift(ring, octs):
-    """The rows evaluate_family runs on, for octonions over ring.
+    """(rows, scales, p): the (n, 8) rows _lane_levels runs on, the QQ
+    scales and the modulus to reduce every sum by, 0 for none.
 
-    Over GF(p) with p < 2^50 the residues as one (n, 8) int64 array, on
-    which _lane_product reduces every sum exactly: directly for
-    p - 1 < 2^30, by a float-quotient mulmod of each product above, whose
-    error bound needs residues below 2^50.  QQ, larger primes and any
-    other ring get _scalar_lift.
-    """
-    if type(ring) is PrimeField and ring.p < 2 ** 50:
-        return np.array([x.r for a in octs for x in a._c],
-                        dtype=np.int64).reshape(-1, 8)
-    return _scalar_lift(ring, octs)
-
-
-def _scalar_lift(ring, octs):
-    """The rows octonion._zorn runs on in _scalar_levels: (rows, scales,
-    p, wrap).
-
-    Over GF(p) a row holds the residues, p is the modulus to reduce a row
-    by, and wrap(v, s) is the residue v % p.  Over QQ a row holds the
-    numerators of one octonion scaled to its own lcm denominator s, and
-    wrap(v, s) is Fraction(v, s); a product's scale is the product of its
+    Over GF(p) the residues: with p < 2^50 one int64 array, on which
+    _lane_product reduces every sum exactly, directly for p - 1 < 2^30
+    and by a float-quotient mulmod of each product above, whose error
+    bound needs residues below 2^50; with larger p an object array of
+    Python ints.  Over QQ an object array whose row holds the numerators
+    of one octonion scaled to its own lcm denominator, the member's scale
+    in the object array scales; a product's scale is the product of its
     factors' scales, and a norm's the square of its octonion's.  Over any
-    other ring a row holds the ring elements and wrap returns v.  Only GF(p)
-    has a p; every scale but QQ's is 1.
+    other ring an object array of the ring elements, each stored as it
+    is, even one that numpy could read as a sequence.  Only QQ has scales.
     """
-    if type(ring) is PrimeField:
-        p = ring.p
-        return ([[x.r for x in a._c] for a in octs], [1] * len(octs), p,
-                lambda v, s: v % p)
-    if ring is QQ:
-        rows, scales = [], []
-        for a in octs:
-            s = lcm(*[x.denominator for x in a._c])
-            rows.append([x.numerator * (s // x.denominator) for x in a._c])
-            scales.append(s)
-        return rows, scales, None, Fraction
-    return [a._c for a in octs], [1] * len(octs), None, lambda v, s: v
+    p = ring.p if type(ring) is PrimeField else 0
+    scales = None
+    if p:
+        entries = [x.r for a in octs for x in a._c]
+    elif ring is QQ:
+        scales = [lcm(*[x.denominator for x in a._c]) for a in octs]
+        entries = [x.numerator * (s // x.denominator)
+                   for a, s in zip(octs, scales) for x in a._c]
+        scales = np.array(scales, dtype=object)
+    else:
+        entries = [x for a in octs for x in a._c]
+    rows = np.fromiter(entries, np.int64 if 0 < p < 2 ** 50 else object,
+                       len(entries))
+    return rows.reshape(-1, 8), scales, p
 
 
 def generic_octonion(ring, i):

@@ -19,11 +19,12 @@ scalars.mul_terms_into, with no temporary polynomial; over GF(p)[z]
 those sums run on int residues in Z, and ring.reduce takes each
 finished dict mod p once.  _zorn on the Polynomial elements is the
 slow exact reference it is tested against.
-invariants.evaluate_family runs _zorn and _zorn_trace on integer rows
-that a lift private to it makes from a tuple, and over GF(p) with
-p < 2^50 _ZORN_TABLE and _TRACE_ROWS as index arrays on one int64
-array of rows per degree level, each sum reduced mod p once for
-p - 1 < 2^30 and each product by a float-quotient mulmod above.  The
+invariants.evaluate_family runs _ZORN_TABLE and _TRACE_ROWS as index
+arrays on the rows that a lift private to it makes from a tuple, one
+array product per degree level over every ring: int64 rows over GF(p)
+with p < 2^50, each sum reduced mod p once for p - 1 < 2^30 and each
+product by a float-quotient mulmod above, and object rows of Python
+ints or ring elements over any other ring.  The
 bilinear form q(a, b) = tr(a conj(b)) is one call of trace_mul.  ring_of
 is the one check that a tuple lives over one ring.
 """

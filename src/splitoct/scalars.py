@@ -625,9 +625,6 @@ class Polynomial:
                 raise ValueError("polynomial is not multihomogeneous")
         return mdeg if mdeg is not None else (0,) * n
 
-    def monomials_sorted(self):
-        return sorted(self.terms, key=_exponents)
-
     def substitute(self, assignment):
         """Evaluate with variables (i,j) replaced per `assignment`.
 

@@ -358,27 +358,42 @@ def _count_products(monkeypatch):
     return calls
 
 
+def _qq_tuple_text(n):
+    rows = (" ".join("%d/%d" % ((7 * i + 3 * j) % 19 - 9, 1 + (i + j) % 4)
+                     for j in range(8)) for i in range(n))
+    return "field q\n%s\n" % "\n".join(rows)
+
+
 def test_eval_one_product_per_trace(tmp_path, capsys, monkeypatch):
-    calls = _count_products(monkeypatch)
-    # p >= 2^50: the scalar row loop
-    path = write(tmp_path, "t.oct", _tuple_text(2 ** 61 - 1, 12))
-    assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 3808
-    # the family runs on lifted rows, never through Octonion.__mul__: one
-    # full product per trace of length 2..7 in 12 letters, and only the
-    # trace for each of the 495 of length 8
-    assert calls == {"mul": 0, "zorn": 3289, "zorn_trace": 495}
+    # the family runs on lifted rows, never through Octonion.__mul__ or a
+    # scalar product: one lane row per trace of length 2..7 in 12 letters,
+    # only the trace for each of the 495 of length 8, and the 12 norms
+    lane_product = inv._lane_product
+    tables = {id(inv._PRODUCT): "product", id(inv._TRACE): "trace",
+              id(inv._NORM): "norm"}
+    for text in (_qq_tuple_text(12), _tuple_text(2 ** 61 - 1, 12)):
+        rows = {}
+
+        def counting(a, pre, b, last, table, p):
+            name = tables[id(table)]
+            rows[name] = rows.get(name, 0) + len(pre)
+            return lane_product(a, pre, b, last, table, p)
+
+        monkeypatch.setattr(inv, "_lane_product", counting)
+        calls = _count_products(monkeypatch)
+        path = write(tmp_path, "t.oct", text)
+        assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3808
+        assert calls == {"mul": 0, "zorn": 0, "zorn_trace": 0}
+        assert rows == {"product": 3289, "trace": 495, "norm": 12}
 
 
-def _assert_eval_is_the_scalar_table(tmp_path, capsys, monkeypatch, text):
-    """eval of S at degree 8 prints the scalar row loop's table, byte for
+def _assert_eval_is_the_reference_table(tmp_path, capsys, monkeypatch, text):
+    """eval of S at degree 8 prints eval_descriptor's table, byte for
     byte, with every level one array product: no scalar product at all."""
     ring, tup = cli.parse_tuple_file(text)
-    descs = inv.enumerate_set("S", len(tup), 8)
-    want = "".join("%s = %s\n" % (descs[pos + k].name(), ring.elem(v))
-                   for pos, values in inv._scalar_levels(
-                       descs, inv._scalar_lift(ring, tup), min(8, len(tup)))
-                   for k, v in enumerate(values))
+    want = "".join("%s = %s\n" % (desc.name(), inv.eval_descriptor(desc, tup))
+                   for desc in inv.enumerate_set("S", len(tup), 8))
     calls = _count_products(monkeypatch)
     path = write(tmp_path, "t.oct", text)
     assert cli.main(["eval", path, "--family", "S", "--degree", "8"]) == 0
@@ -388,7 +403,7 @@ def _assert_eval_is_the_scalar_table(tmp_path, capsys, monkeypatch, text):
 
 def test_eval_over_a_small_field_forms_no_scalar_product(tmp_path, capsys, monkeypatch):
     # p - 1 < 2^30: every product of residues is exact in int64
-    _assert_eval_is_the_scalar_table(tmp_path, capsys, monkeypatch, _tuple_text(5, 12))
+    _assert_eval_is_the_reference_table(tmp_path, capsys, monkeypatch, _tuple_text(5, 12))
 
 
 def test_eval_over_a_large_field_forms_no_scalar_product(tmp_path, capsys, monkeypatch):
@@ -397,7 +412,7 @@ def test_eval_over_a_large_field_forms_no_scalar_product(tmp_path, capsys, monke
     p = 10 ** 14 + 31
     rows = (" ".join(str((7 * i + 3 * j + 1) * 123456789012345 % p) for j in range(8))
             for i in range(12))
-    _assert_eval_is_the_scalar_table(tmp_path, capsys, monkeypatch,
+    _assert_eval_is_the_reference_table(tmp_path, capsys, monkeypatch,
                                      "field p=%d\n%s\n" % (p, "\n".join(rows)))
 
 

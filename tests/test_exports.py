@@ -78,6 +78,15 @@ def _uses(path):
     return out
 
 
+def _used_elsewhere(name, path, uses):
+    """Whether name is used in the files of uses outside the top-level
+    statement of path that defines it."""
+    return any(used == name
+               and not (where == path and name in _defined_names(stmt))
+               for where, found in uses.items()
+               for used, stmt in found)
+
+
 def test_every_export_is_used_by_the_library_or_the_benchmark():
     # a name in __all__ must be referenced in the package or the benchmark
     # outside its own definition
@@ -89,9 +98,24 @@ def test_every_export_is_used_by_the_library_or_the_benchmark():
         if path.stem == "__init__":
             continue
         for name in importlib.import_module("splitoct." + path.stem).__all__:
-            if not any(used == name
-                       and not (where == path and name in _defined_names(stmt))
-                       for where, found in uses.items()
-                       for used, stmt in found):
+            if not _used_elsewhere(name, path, uses):
                 unused.append("%s.%s" % (path.stem, name))
     assert sorted(unused) == sorted(TEST_ONLY_EXPORTS)
+
+
+def test_every_function_is_referenced():
+    # a function or method the package defines, dunders aside, must be
+    # referenced in the package, the tests or the benchmark outside its
+    # own definition
+    src = sorted((ROOT / "src" / "splitoct").glob("*.py"))
+    uses = {path: _uses(path)
+            for path in src + sorted((ROOT / "tests").glob("*.py"))
+            + sorted((ROOT / "bench").glob("*.py"))}
+    unused = []
+    for path in src:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and not _used_elsewhere(node.name, path, uses)):
+                unused.append("%s.%s" % (path.stem, node.name))
+    assert unused == []

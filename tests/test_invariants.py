@@ -126,6 +126,7 @@ def _reference_family(family, tup, d):
 # below 2^50, the bound of its mulmod
 _RINGS = (QQ, GF(2), GF(5), GF(1073741789), GF(10 ** 14 + 31),
           GF(1125899906842597), GF(2 ** 61 - 1), GF(10 ** 24 + 7))
+_POLY = PolynomialRing(QQ)
 # one distinct prime denominator per QQ member, the worst case for a
 # common denominator over the whole tuple
 _PRIMES_NEAR_1E6 = (999907, 999917, 999931, 999953, 999959, 999961, 999979,
@@ -143,11 +144,18 @@ def _assert_family_matches(family, tup, d):
 @given(st.data())
 def test_evaluate_family_matches_eval_descriptor(data):
     family = data.draw(st.sampled_from(("S", "S0")))
-    ring = data.draw(st.sampled_from(_RINGS))
-    n = data.draw(st.integers(1, 8))
+    ring = data.draw(st.sampled_from(_RINGS + (_POLY,)))
+    # over QQ[z] the terms multiply with every factor, so at most 4 members
+    n = data.draw(st.integers(1, 4 if ring is _POLY else 8))
     # d = n reaches the top trace, tr(1,...,n)
     d = data.draw(st.one_of(st.just(n), st.integers(1, 8)))
-    if ring is QQ and data.draw(st.booleans()):
+    if ring is _POLY:
+        # each coordinate a constant or one monomial c z[i, j]
+        coord = st.tuples(st.integers(-3, 3), st.integers(0, 8))
+        coords = [[_POLY(c) * (_POLY.var(i, j) if j else _POLY.one)
+                   for c, j in data.draw(st.lists(coord, min_size=8, max_size=8))]
+                  for i in range(1, n + 1)]
+    elif ring is QQ and data.draw(st.booleans()):
         dens = data.draw(st.permutations(_PRIMES_NEAR_1E6))
         coords = [[Fraction(c, den) for c in data.draw(
             st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=8, max_size=8))]
@@ -176,54 +184,34 @@ def test_evaluate_family_to_the_top_trace():
                 _assert_family_matches(family, tup, n)
 
 
-def _scalar_levels(family, tup, d):
-    """The levels of the family by the scalar row loop, over any ring."""
-    descs = inv.enumerate_set(family, len(tup), d)
-    lifted = inv._scalar_lift(oc.ring_of(tup), tup)
-    return list(inv._scalar_levels(descs, lifted, min(d, len(tup))))
-
-
-def _scalar_family(family, tup, d):
-    """The family by the scalar row loop over GF(p): its levels, which
-    hold plain int residues and cover the family run after run, as
-    (descriptor, ring element) pairs."""
-    ring = oc.ring_of(tup)
-    descs = inv.enumerate_set(family, len(tup), d)
-    out = []
-    for pos, values in _scalar_levels(family, tup, d):
-        assert pos == len(out)
-        assert all(type(v) is int and 0 <= v < ring.p for v in values)
-        out += zip(descs[pos:pos + len(values)], map(ring.elem, values))
-    assert len(out) == len(descs)
-    return out
-
-
 def _assert_lanes_match(family, tup, d):
-    """The array path of a GF(p) with p < 2^50 against eval_descriptor and
-    the scalar row loop: equal values of equal types, and the same levels
-    of plain int residues."""
-    assert type(inv._lift(oc.ring_of(tup), tup)) is np.ndarray
-    got = list(inv.evaluate_family(family, tup, d))
-    for ref in (_reference_family(family, tup, d), _scalar_family(family, tup, d)):
-        assert got == ref
-        assert [type(v) for _desc, v in got] == [type(v) for _desc, v in ref]
-    assert all(type(v.r) is int for _desc, v in got)
-    levels = list(inv._levels(family, tup, d)[1])
-    assert levels == _scalar_levels(family, tup, d)
-    assert all(type(v) is int for _pos, values in levels for v in values)
+    """The lane walker over GF(p) against eval_descriptor: equal values of
+    equal types, and levels of plain int residues that cover the family
+    run after run."""
+    ring = oc.ring_of(tup)
+    _assert_family_matches(family, tup, d)
+    assert all(type(v.r) is int for _desc, v in inv.evaluate_family(family, tup, d))
+    descs, levels = inv._levels(family, tup, d)
+    covered = 0
+    for pos, values in levels:
+        assert pos == covered
+        assert all(type(v) is int and 0 <= v < ring.p for v in values)
+        covered += len(values)
+    assert covered == len(descs)
 
 
-# GF(1073741789) is the largest prime with p - 1 < 2^30, which the lanes
-# multiply directly, and GF(1073741827) the smallest above it, which they
-# reduce by the float-quotient mulmod; GF(1125899906842597) is the largest
-# prime below 2^50, the mulmod's bound
+# GF(1073741789) is the largest prime with p - 1 < 2^30, which the int64
+# lanes multiply directly, and GF(1073741827) the smallest above it, which
+# they reduce by the float-quotient mulmod; GF(1125899906842597) is the
+# largest prime below 2^50, the mulmod's bound; above it the residues are
+# Python ints in object rows
 _LANE_PRIMES = (2, 3, 5, 1000003, 1073741789, 1073741827, 10 ** 14 + 31,
-                1125899906842597)
+                1125899906842597, 2 ** 61 - 1, 10 ** 24 + 7)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_lanes_match_eval_descriptor_and_the_scalar_loop(data):
+def test_lanes_match_eval_descriptor(data):
     field = GF(data.draw(st.sampled_from(_LANE_PRIMES)))
     family = data.draw(st.sampled_from(("S", "S0")))
     n = data.draw(st.integers(1, 8))
@@ -246,19 +234,22 @@ def test_lanes_at_the_int64_bound(monkeypatch):
     assert 8 * (1073741789 - 1) ** 2 < 2 ** 63 <= 8 * (1073741827 - 1) ** 2
     for p in (1073741789, 1073741827, 1125899906842597):
         assert p < 2 ** 50
+        assert inv._lift(GF(p), worst(GF(p)))[0].dtype == np.int64
         for family in ("S", "S0"):
             _assert_lanes_match(family, worst(GF(p)), 8)
-    # the next prime takes the scalar row loop
+    # the next prime takes object rows of Python ints, multiplied directly
     big = GF(1125899906842679)
     assert big.p > 2 ** 50
-    assert type(inv._lift(big, worst(big))) is tuple
+    assert inv._lift(big, worst(big))[0].dtype == object
+    lane_product = inv._lane_product
 
-    def refused(*args):
-        raise AssertionError("the array path ran")
+    def on_objects(a, pre, b, last, table, p):
+        assert a.dtype == b.dtype == object
+        return lane_product(a, pre, b, last, table, p)
 
-    monkeypatch.setattr(inv, "_lane_product", refused)
+    monkeypatch.setattr(inv, "_lane_product", on_objects)
     for family in ("S", "S0"):
-        _assert_family_matches(family, worst(big), 8)
+        _assert_lanes_match(family, worst(big), 8)
 
 
 def test_evaluate_family_refuses_empty_and_mixed_tuples():

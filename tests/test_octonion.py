@@ -217,32 +217,30 @@ def _octonion_pair(draw):
 
 @given(_octonion_pair())
 def test_integer_products_match_the_formula_on_ring_elements(pair):
-    """The residue rows over GF(p) and the scaled-numerator rows over QQ
-    that the family evaluator's scalar loop lifts to, multiplied by the
-    Zorn formula and wrapped back, equal the product on the ring
-    elements; over GF(p) with p < 2^50 so do the product and the trace of
-    the array path on its int64 rows."""
+    """The rows the family evaluator lifts to, residues over GF(p) (int64
+    below 2^50, Python ints above) and scaled numerators over QQ,
+    multiplied by the lane product and wrapped back, equal the product
+    and the trace on the ring elements."""
     ring, a, b = pair
     prod = a * b
-    (ra, rb), (sa, sb), p, wrap = inv._scalar_lift(ring, (a, b))
-    c = tuple(wrap(v, sa * sb) for v in oc._zorn(ra, rb))
+    rows, scales, p = inv._lift(ring, (a, b))
+    assert rows.dtype == (np.int64 if 0 < p < 2 ** 50 else object)
+    signed = np.concatenate((rows, -rows), 1)
+    c = inv._lane_product(rows, [0], signed, [1], inv._PRODUCT, p)[0].tolist()
+    t, = inv._lane_product(rows, [0], signed, [1], inv._TRACE, p)[0].tolist()
     if p:
-        # over GF(p) wrap gives the residue
-        assert all(type(v) is int and 0 <= v < p for v in c)
-        c = tuple(map(ring.elem, c))
-    assert prod == oc.Octonion(ring, c)
+        # over GF(p) the lanes give the residue
+        assert all(type(v) is int and 0 <= v < p for v in c + [t])
+        wrap = ring.elem
+    else:
+        wrap = lambda v: Fraction(v, scales[0] * scales[1])
+    assert prod == oc.Octonion(ring, tuple(map(wrap, c)))
+    assert a.trace_mul(b) == wrap(t)
     for x in prod.coords():
         if ring is QQ:
             assert type(x) is Fraction
         else:
             assert type(x) is FpElement and x.field is ring
-    if p and p < 2 ** 50:
-        rows = inv._lift(ring, (a, b))
-        signed = np.hstack((rows, -rows))
-        c = inv._lane_product(rows, [0], signed, [1], inv._PRODUCT, p)[0]
-        assert prod.coords() == tuple(map(ring.elem, c.tolist()))
-        t = inv._lane_product(rows, [0], signed, [1], inv._TRACE, p)[0, 0]
-        assert a.trace_mul(b) == ring.elem(int(t))
 
 
 @given(_octonion_pair())
