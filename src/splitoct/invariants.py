@@ -291,11 +291,12 @@ def _lift(ring, octs):
     and by a float-quotient mulmod of each product above, whose error
     bound needs residues below 2^50; with larger p an object array of
     Python ints.  Over QQ an object array whose row holds the numerators
-    of one octonion scaled to its own lcm denominator, the member's scale
-    in the object array scales; a product's scale is the product of its
-    factors' scales, and a norm's the square of its octonion's.  Over any
-    other ring an object array of the ring elements, each stored as it
-    is, even one that numpy could read as a sequence.  Only QQ has scales.
+    of one octonion scaled to its own lcm denominator, and scales, an
+    object array of those denominators; a product's scale is the product
+    of its factors' scales, and a norm's the square of its octonion's.
+    Over any other ring an object array of the ring elements, each stored
+    as it is, even one that numpy could read as a sequence.  Only QQ has
+    scales.
     """
     p = ring.p if type(ring) is PrimeField else 0
     scales = None

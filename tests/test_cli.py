@@ -413,7 +413,7 @@ def test_eval_over_a_large_field_forms_no_scalar_product(tmp_path, capsys, monke
     rows = (" ".join(str((7 * i + 3 * j + 1) * 123456789012345 % p) for j in range(8))
             for i in range(12))
     _assert_eval_is_the_reference_table(tmp_path, capsys, monkeypatch,
-                                     "field p=%d\n%s\n" % (p, "\n".join(rows)))
+                                        "field p=%d\n%s\n" % (p, "\n".join(rows)))
 
 
 def test_separate_mismatched_fields(tmp_path, capsys):
